@@ -97,6 +97,10 @@ class CacheModel
      */
     std::string checkIntegrity() const;
 
+    /** Same geometry, same lines in the same recency order and dirty
+     *  state: two equal models behave identically from here on. */
+    bool operator==(const CacheModel &) const = default;
+
   private:
     std::uint32_t
     setIndexOf(Addr line) const

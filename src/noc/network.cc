@@ -57,54 +57,120 @@ Network::ejectPort(TileId tile) const
     return mesh_.numLinks() + 2 * tile + 1;
 }
 
-Cycles
-Network::send(TileId src, TileId dst, std::uint32_t bytes, TrafficClass tc)
+/** The shared counters behind the NetDelta charge interface. */
+struct Network::Live
 {
-    const int c = static_cast<int>(tc);
+    Network &n;
+
+    void
+    addMessage(int tc, std::uint32_t hop_count, std::uint32_t flits)
+    {
+        n.stats_.messages[tc] += 1;
+        n.stats_.hops[tc] += hop_count;
+        n.stats_.flitHops[tc] += std::uint64_t(flits) * hop_count;
+    }
+    void
+    addDegraded(std::uint64_t extra)
+    {
+        n.stats_.degradedLinkFlits += extra;
+    }
+    void
+    addRouteLink(LinkId link, std::uint64_t charged)
+    {
+        addLink(link, charged);
+        n.epochRouteFlitsShadow_ += charged;
+    }
+    void
+    addPorts(std::uint32_t inject, std::uint32_t eject, std::uint32_t flits)
+    {
+        addLink(inject, flits);
+        addLink(eject, flits);
+        n.epochFlits_ += flits;
+    }
+    void
+    addLink(std::size_t index, std::uint64_t flits)
+    {
+        n.epochLinkFlits_[index] += flits;
+        n.lifetimeLinkFlits_[index] += flits;
+        n.noteEpochFlits(index);
+    }
+};
+
+template <class Target>
+void
+Network::charge(TileId src, TileId dst, std::uint32_t bytes, TrafficClass tc,
+                Target &to) const
+{
     const std::uint32_t hop_count = mesh_.distance(src, dst);
     const std::uint32_t flits = flitsFor(bytes);
-
-    stats_.messages[c] += 1;
-    stats_.hops[c] += hop_count;
-    stats_.flitHops[c] += std::uint64_t(flits) * hop_count;
-
+    to.addMessage(static_cast<int>(tc), hop_count, flits);
     if (hop_count != 0) {
-        chargeRoute(src, dst, flits);
+        chargeRoute(src, dst, flits, to);
         // Endpoint local ports: one tile can inject/eject at most one
         // flit per cycle, which bounds hot endpoints (e.g. a core
         // sinking every response, or a contended tail-pointer bank).
-        epochLinkFlits_[injectPort(src)] += flits;
-        lifetimeLinkFlits_[injectPort(src)] += flits;
-        noteEpochFlits(injectPort(src));
-        epochLinkFlits_[ejectPort(dst)] += flits;
-        lifetimeLinkFlits_[ejectPort(dst)] += flits;
-        noteEpochFlits(ejectPort(dst));
-        epochFlits_ += flits;
+        to.addPorts(injectPort(src), ejectPort(dst), flits);
     }
-    // Unloaded latency: route traversal plus serialization of the
-    // remaining flits behind the head flit.
-    return Cycles(hop_count) * cfg_.hopLatency + (flits - 1);
+}
+
+template <class Target>
+void
+Network::chargeLink(LinkId link, std::uint32_t flits, Target &to) const
+{
+    std::uint64_t charged = flits;
+    if (faults_ != nullptr) {
+        const std::uint32_t mult = faults_->linkFlitMultiplier(link);
+        if (mult > 1) {
+            charged = std::uint64_t(flits) * mult;
+            to.addDegraded(charged - flits);
+        }
+    }
+    to.addRouteLink(link, charged);
+}
+
+template <class Target>
+void
+Network::chargeRoute(TileId src, TileId dst, std::uint32_t flits,
+                     Target &to) const
+{
+    if (!referenceMode_ && !routeOffset_.empty()) {
+        const std::size_t pair = std::size_t(src) * mesh_.numTiles() + dst;
+        const std::uint32_t end = routeOffset_[pair + 1];
+        for (std::uint32_t i = routeOffset_[pair]; i < end; ++i)
+            chargeLink(routeLinks_[i], flits, to);
+        return;
+    }
+    // Reference / large-mesh path: walk the X-Y coordinates.
+    std::uint32_t x = mesh_.xOf(src);
+    std::uint32_t y = mesh_.yOf(src);
+    const std::uint32_t tx = mesh_.xOf(dst);
+    const std::uint32_t ty = mesh_.yOf(dst);
+    while (x != tx) {
+        const Direction dir = x < tx ? Direction::east : Direction::west;
+        chargeLink(Mesh::linkOf(mesh_.tileAt(x, y), dir), flits, to);
+        x = x < tx ? x + 1 : x - 1;
+    }
+    while (y != ty) {
+        const Direction dir = y < ty ? Direction::south : Direction::north;
+        chargeLink(Mesh::linkOf(mesh_.tileAt(x, y), dir), flits, to);
+        y = y < ty ? y + 1 : y - 1;
+    }
 }
 
 Cycles
-Network::sendDelta(TileId src, TileId dst, std::uint32_t bytes,
-                   TrafficClass tc, NetDelta &d) const
+Network::send(TileId src, TileId dst, std::uint32_t bytes, TrafficClass tc)
 {
-    const int c = static_cast<int>(tc);
-    const std::uint32_t hop_count = mesh_.distance(src, dst);
-    const std::uint32_t flits = flitsFor(bytes);
+    Live live{*this};
+    charge(src, dst, bytes, tc, live);
+    return latencyOf(src, dst, bytes);
+}
 
-    d.messages[c] += 1;
-    d.hops[c] += hop_count;
-    d.flitHops[c] += std::uint64_t(flits) * hop_count;
-
-    if (hop_count != 0) {
-        chargeRouteDelta(src, dst, flits, d);
-        d.linkFlits[injectPort(src)] += flits;
-        d.linkFlits[ejectPort(dst)] += flits;
-        d.flits += flits;
-    }
-    return Cycles(hop_count) * cfg_.hopLatency + (flits - 1);
+Cycles
+Network::send(TileId src, TileId dst, std::uint32_t bytes, TrafficClass tc,
+              NetDelta &d) const
+{
+    charge(src, dst, bytes, tc, d);
+    return latencyOf(src, dst, bytes);
 }
 
 void
@@ -130,105 +196,6 @@ Network::refreshEpochMax()
 {
     epochMaxLinkFlits_ =
         *std::max_element(epochLinkFlits_.begin(), epochLinkFlits_.end());
-}
-
-void
-Network::chargeLink(LinkId link, std::uint32_t flits)
-{
-    std::uint64_t charged = flits;
-    if (faults_ != nullptr) {
-        const std::uint32_t mult = faults_->linkFlitMultiplier(link);
-        if (mult > 1) {
-            charged = std::uint64_t(flits) * mult;
-            stats_.degradedLinkFlits += charged - flits;
-        }
-    }
-    epochLinkFlits_[link] += charged;
-    lifetimeLinkFlits_[link] += charged;
-    noteEpochFlits(link);
-    epochRouteFlitsShadow_ += charged;
-}
-
-void
-Network::chargeLinkDelta(LinkId link, std::uint32_t flits,
-                         NetDelta &d) const
-{
-    std::uint64_t charged = flits;
-    if (faults_ != nullptr) {
-        const std::uint32_t mult = faults_->linkFlitMultiplier(link);
-        if (mult > 1) {
-            charged = std::uint64_t(flits) * mult;
-            d.degradedLinkFlits += charged - flits;
-        }
-    }
-    d.linkFlits[link] += charged;
-    d.routeShadow += charged;
-}
-
-void
-Network::chargeRouteDelta(TileId src, TileId dst, std::uint32_t flits,
-                          NetDelta &d) const
-{
-    if (referenceMode_ || routeOffset_.empty()) {
-        chargeRouteWalkDelta(src, dst, flits, d);
-        return;
-    }
-    const std::size_t pair = std::size_t(src) * mesh_.numTiles() + dst;
-    const std::uint32_t end = routeOffset_[pair + 1];
-    for (std::uint32_t i = routeOffset_[pair]; i < end; ++i)
-        chargeLinkDelta(routeLinks_[i], flits, d);
-}
-
-void
-Network::chargeRouteWalkDelta(TileId src, TileId dst, std::uint32_t flits,
-                              NetDelta &d) const
-{
-    std::uint32_t x = mesh_.xOf(src);
-    std::uint32_t y = mesh_.yOf(src);
-    const std::uint32_t tx = mesh_.xOf(dst);
-    const std::uint32_t ty = mesh_.yOf(dst);
-    while (x != tx) {
-        const Direction dir = x < tx ? Direction::east : Direction::west;
-        chargeLinkDelta(Mesh::linkOf(mesh_.tileAt(x, y), dir), flits, d);
-        x = x < tx ? x + 1 : x - 1;
-    }
-    while (y != ty) {
-        const Direction dir = y < ty ? Direction::south : Direction::north;
-        chargeLinkDelta(Mesh::linkOf(mesh_.tileAt(x, y), dir), flits, d);
-        y = y < ty ? y + 1 : y - 1;
-    }
-}
-
-void
-Network::chargeRoute(TileId src, TileId dst, std::uint32_t flits)
-{
-    if (referenceMode_ || routeOffset_.empty()) {
-        chargeRouteWalk(src, dst, flits);
-        return;
-    }
-    const std::size_t pair = std::size_t(src) * mesh_.numTiles() + dst;
-    const std::uint32_t end = routeOffset_[pair + 1];
-    for (std::uint32_t i = routeOffset_[pair]; i < end; ++i)
-        chargeLink(routeLinks_[i], flits);
-}
-
-void
-Network::chargeRouteWalk(TileId src, TileId dst, std::uint32_t flits)
-{
-    std::uint32_t x = mesh_.xOf(src);
-    std::uint32_t y = mesh_.yOf(src);
-    const std::uint32_t tx = mesh_.xOf(dst);
-    const std::uint32_t ty = mesh_.yOf(dst);
-    while (x != tx) {
-        const Direction dir = x < tx ? Direction::east : Direction::west;
-        chargeLink(Mesh::linkOf(mesh_.tileAt(x, y), dir), flits);
-        x = x < tx ? x + 1 : x - 1;
-    }
-    while (y != ty) {
-        const Direction dir = y < ty ? Direction::south : Direction::north;
-        chargeLink(Mesh::linkOf(mesh_.tileAt(x, y), dir), flits);
-        y = y < ty ? y + 1 : y - 1;
-    }
 }
 
 std::uint64_t

@@ -25,9 +25,11 @@ namespace affalloc::noc
  * Private traffic accumulator for shard-parallel epoch replay: one
  * replay worker charges all of its shard's messages here instead of
  * the shared counters, and the machine folds the deltas back in fixed
- * worker order at the epoch barrier. Every field mirrors the integer
- * counter send() would have bumped, so the fold is exact regardless
- * of which worker carried which message.
+ * worker order at the epoch barrier. Network::send() charges a message
+ * through the same body into either this or the shared counters, so
+ * every field holds exactly the integers the shared counters would
+ * have gained, and the fold is exact regardless of which worker
+ * carried which message.
  */
 struct NetDelta
 {
@@ -50,6 +52,30 @@ struct NetDelta
 
     /** Zero all counters, sizing linkFlits to @p num_entries. */
     void reset(std::size_t num_entries);
+
+    // The charge interface Network::send() writes through.
+    void
+    addMessage(int tc, std::uint32_t hop_count, std::uint32_t msg_flits)
+    {
+        messages[tc] += 1;
+        hops[tc] += hop_count;
+        flitHops[tc] += std::uint64_t(msg_flits) * hop_count;
+    }
+    void addDegraded(std::uint64_t extra) { degradedLinkFlits += extra; }
+    void
+    addRouteLink(LinkId link, std::uint64_t charged)
+    {
+        linkFlits[link] += charged;
+        routeShadow += charged;
+    }
+    void
+    addPorts(std::uint32_t inject, std::uint32_t eject,
+             std::uint32_t msg_flits)
+    {
+        linkFlits[inject] += msg_flits;
+        linkFlits[eject] += msg_flits;
+        flits += msg_flits;
+    }
 };
 
 /**
@@ -76,17 +102,24 @@ class Network
      * Charges flits to every link of the X-Y route and updates the
      * per-class counters. Local (src == dst) messages cost no hops.
      *
-     * @return the unloaded latency of this message in cycles
-     *         (hops x hop latency + serialization).
+     * @return latencyOf(src, dst, bytes)
      */
     Cycles send(TileId src, TileId dst, std::uint32_t bytes,
                 TrafficClass tc);
 
     /**
-     * What send() would return for this message, charging nothing.
-     * The unloaded latency is load-independent, so deferred-epoch
-     * recording can hand exact latencies to callers before the
-     * traffic itself is replayed.
+     * send() charged into @p d instead of the shared counters
+     * (shard-parallel epoch replay). Thread-safe: reads only immutable
+     * routing state and the fault plan's stable multipliers.
+     */
+    Cycles send(TileId src, TileId dst, std::uint32_t bytes,
+                TrafficClass tc, NetDelta &d) const;
+
+    /**
+     * The unloaded latency of a message: route traversal plus
+     * serialization of the flits behind the head flit. Load
+     * independent, so deferred-epoch recording can hand exact
+     * latencies to callers before the traffic itself is replayed.
      */
     Cycles
     latencyOf(TileId src, TileId dst, std::uint32_t bytes) const
@@ -94,14 +127,6 @@ class Network
         return Cycles(mesh_.distance(src, dst)) * cfg_.hopLatency +
                (flitsFor(bytes) - 1);
     }
-
-    /**
-     * send() into a private delta instead of the shared counters
-     * (shard-parallel epoch replay). Thread-safe: reads only immutable
-     * routing state and the fault plan's stable multipliers.
-     */
-    Cycles sendDelta(TileId src, TileId dst, std::uint32_t bytes,
-                     TrafficClass tc, NetDelta &d) const;
 
     /** Number of entries a NetDelta's linkFlits needs for this mesh. */
     std::size_t numLinkEntries() const { return epochLinkFlits_.size(); }
@@ -170,20 +195,28 @@ class Network
     /** Largest mesh for which the route table is precomputed. */
     static constexpr std::uint32_t routeTableMaxTiles = 256;
 
-    /** Walk the X-Y route charging @p flits to every link. */
-    void chargeRoute(TileId src, TileId dst, std::uint32_t flits);
-    /** Coordinate-walking chargeRoute (reference / large-mesh path). */
-    void chargeRouteWalk(TileId src, TileId dst, std::uint32_t flits);
-    /** Charge one link, applying any degraded-link multiplier. */
-    void chargeLink(LinkId link, std::uint32_t flits);
+    /** The shared counters as a charge target (the NetDelta interface). */
+    struct Live;
 
-    /** chargeRoute / chargeRouteWalk / chargeLink into a delta. */
-    void chargeRouteDelta(TileId src, TileId dst, std::uint32_t flits,
-                          NetDelta &d) const;
-    void chargeRouteWalkDelta(TileId src, TileId dst, std::uint32_t flits,
-                              NetDelta &d) const;
-    void chargeLinkDelta(LinkId link, std::uint32_t flits,
-                         NetDelta &d) const;
+    /**
+     * Charge one message into @p to: the per-class counters, every
+     * route link and both endpoint ports. The one body behind both
+     * send() overloads.
+     */
+    template <class Target>
+    void charge(TileId src, TileId dst, std::uint32_t bytes,
+                TrafficClass tc, Target &to) const;
+    /**
+     * Charge @p flits to every link of the X-Y route, from the route
+     * table or, in reference mode and beyond routeTableMaxTiles, by
+     * walking the coordinates.
+     */
+    template <class Target>
+    void chargeRoute(TileId src, TileId dst, std::uint32_t flits,
+                     Target &to) const;
+    /** Charge one link, applying any degraded-link multiplier. */
+    template <class Target>
+    void chargeLink(LinkId link, std::uint32_t flits, Target &to) const;
 
     /** Keep the running epoch max current for one charged entry. */
     void

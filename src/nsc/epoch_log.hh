@@ -50,7 +50,7 @@ struct BankEvent
     static constexpr std::uint8_t probeWrite = 1;
 
     Addr addr = 0;
-    /** l3Probe: hit-bit slot; netSend: payload bytes. */
+    /** l3Probe: missCycles slot; netSend: payload bytes. */
     std::uint32_t arg = 0;
     /** netSend route endpoints (tile ids). */
     std::uint16_t src = 0;
@@ -73,19 +73,18 @@ struct CoreEvent
         constBusy,
         /**
          * The irregular-access MLP penalty: coreBusy +=
-         * double(a + (hit ? 0 : b)) / coreMaxMlp, where the hit bit
-         * comes from wave one's probe at `slot`. Both operands are
-         * integer cycle counts, so the conversion and division
-         * reproduce the classic charge bit-exactly.
+         * double(a + missCycles[slot]) / coreMaxMlp, where wave one
+         * stored the probe's miss latency (0 on a hit) at `slot`.
+         * Both operands are integer cycle counts, so the conversion
+         * and division reproduce the classic charge bit-exactly.
          */
         mlpPenalty,
     };
 
-    /** constBusy: bit-cast double; mlpPenalty: base latency cycles. */
+    /** constBusy: bit-cast double; mlpPenalty: latency cycles without
+     *  the probe's miss latency. */
     std::uint64_t a = 0;
-    /** mlpPenalty: extra latency cycles when the probe missed. */
-    std::uint64_t b = 0;
-    /** mlpPenalty: index into EpochLog::hitBits. */
+    /** mlpPenalty: index into EpochLog::missCycles. */
     std::uint32_t slot = 0;
     std::uint8_t kind = constBusy;
 };
@@ -97,9 +96,10 @@ struct EpochLog
     std::vector<std::vector<BankEvent>> bank;
     /** Per-core replay queues (index == core id). */
     std::vector<std::vector<CoreEvent>> core;
-    /** Probe results, filled by wave one, read by wave two. */
-    std::vector<std::uint8_t> hitBits;
-    /** Hit-bit slots allocated so far this epoch. */
+    /** Probe miss latencies (0 on a hit), filled by wave one, read by
+     *  wave two. */
+    std::vector<std::uint32_t> missCycles;
+    /** Probe slots allocated so far this epoch. */
     std::uint32_t numSlots = 0;
 
     void

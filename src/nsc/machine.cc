@@ -236,15 +236,12 @@ Machine::coreTranslate(CoreId core, Addr vaddr)
 }
 
 Cycles
-Machine::seTranslate(BankId bank, Addr vaddr)
+Machine::seTlbProbe(BankId bank, Addr vpage, sim::Stats &s)
 {
-    if (vaddr >= mem::poolVirtBase)
-        return 0; // direct-segment pool translation (§4.1)
-    const Addr vpage = mem::pageOf(vaddr);
-    stats_.tlbAccesses += 1;
+    s.tlbAccesses += 1;
     if (seTlb_[bank].access(vpage, false).hit)
         return 0;
-    stats_.tlbWalks += 1;
+    s.tlbWalks += 1;
     return cfg_.tlbLatency + cfg_.tlbWalkLatency;
 }
 
@@ -543,37 +540,191 @@ Machine::auditMapping(simcheck::CheckContext &ctx) const
     }
 }
 
-Cycles
-Machine::probeL3Line(BankId home, Addr pline, bool is_write, bool &out_hit)
+// ---------------------------------------------------------------------
+// The access paths, written once. Everything core-private (L1/L2, core
+// TLB, their stats) and every bank/SE busy charge runs inline in both
+// modes, in program order; the sink takes the bank-owned rest: L3
+// probes, SE-TLB lookups, NoC messages and the core MLP penalty that
+// depends on a probe's outcome. A deferred epoch's recorded events
+// replay either in per-bank serial-projected order (wave one) or
+// per-core record order (wave two), so the result is bit-identical to
+// inline execution at any --sim-threads.
+// ---------------------------------------------------------------------
+
+struct Machine::InlineSink
 {
-    stats_.l3Accesses += 1;
-    chargeBankBusy(home, tp_.l3ServiceCycles);
+    Machine &m;
+
+    // Counter target of probeL3Line(): the live stats_/net_/dram_.
+    sim::Stats &stats() { return m.stats_; }
+    Cycles
+    send(BankId, TileId src, TileId dst, std::uint32_t bytes,
+         TrafficClass tc)
+    {
+        return m.net_.send(src, dst, bytes, tc);
+    }
+    Cycles
+    dram(Addr line, bool is_write)
+    {
+        return m.dram_.access(line, is_write);
+    }
+
+    Probe
+    probe(BankId home, Addr pline, bool is_write)
+    {
+        return m.probeL3Line(home, pline, is_write, *this);
+    }
+    Cycles
+    seTlbProbe(BankId bank, Addr vpage)
+    {
+        return m.seTlbProbe(bank, vpage, m.stats_);
+    }
+    void
+    coreBusy(CoreId core, double cycles)
+    {
+        m.chargeCoreBusy(core, cycles);
+    }
+    void
+    mlpPenalty(CoreId core, Cycles latency, const Probe &)
+    {
+        m.chargeCoreBusy(core, double(latency) / m.tp_.coreMaxMlp);
+    }
+};
+
+struct Machine::RecordSink
+{
+    Machine &m;
+
+    /** Queued at @p queue_bank; the latency is load-independent. */
+    Cycles
+    send(BankId queue_bank, TileId src, TileId dst, std::uint32_t bytes,
+         TrafficClass tc)
+    {
+        m.log_->bank[queue_bank].push_back(
+            {.arg = bytes,
+             .src = static_cast<std::uint16_t>(src),
+             .dst = static_cast<std::uint16_t>(dst),
+             .kind = BankEvent::netSend,
+             .flags = static_cast<std::uint8_t>(tc)});
+        return m.net_.latencyOf(src, dst, bytes);
+    }
+    /** Resolved at replay: reports a hit with no miss latency. */
+    Probe
+    probe(BankId home, Addr pline, bool is_write)
+    {
+        Probe p;
+        p.slot = m.log_->numSlots++;
+        m.log_->bank[home].push_back(
+            {.addr = pline,
+             .arg = p.slot,
+             .kind = BankEvent::l3Probe,
+             .flags = is_write ? BankEvent::probeWrite : std::uint8_t(0)});
+        return p;
+    }
+    Cycles
+    seTlbProbe(BankId bank, Addr vpage)
+    {
+        m.log_->bank[bank].push_back(
+            {.addr = vpage, .kind = BankEvent::seTlbProbe});
+        return 0;
+    }
+    void
+    coreBusy(CoreId core, double cycles)
+    {
+        m.log_->core[core].push_back(
+            {.a = std::bit_cast<std::uint64_t>(cycles),
+             .kind = CoreEvent::constBusy});
+    }
+    /** Wave two adds the probe's miss latency once wave one knows it. */
+    void
+    mlpPenalty(CoreId core, Cycles latency, const Probe &p)
+    {
+        m.log_->core[core].push_back(
+            {.a = latency, .slot = p.slot, .kind = CoreEvent::mlpPenalty});
+    }
+};
+
+/** A replay worker's ReplayDelta as probeL3Line()'s counter target. */
+struct Machine::DeltaCounters
+{
+    Machine &m;
+    ReplayDelta &d;
+
+    sim::Stats &stats() { return d.stats; }
+    Cycles
+    send(BankId, TileId src, TileId dst, std::uint32_t bytes,
+         TrafficClass tc)
+    {
+        return m.net_.send(src, dst, bytes, tc, d.net);
+    }
+    /** Counted per channel; Dram::chargeDeferred folds the occupancy. */
+    Cycles
+    dram(Addr line, bool)
+    {
+        d.dramChannel[m.dram_.channelOf(line)] += 1;
+        d.stats.dramAccesses += 1;
+        d.stats.dramBytes += m.cfg_.lineSize;
+        return m.dram_.latency();
+    }
+};
+
+template <class Counters>
+Machine::Probe
+Machine::probeL3Line(BankId home, Addr pline, bool is_write, Counters &to)
+{
+    sim::Stats &s = to.stats();
+    s.l3Accesses += 1;
     const auto res = l3Banks_[home].access(pline, is_write);
-    out_hit = res.hit;
     if (metrics_)
         metrics_->bankAccess(home, res.hit);
-    Cycles extra = 0;
+    Probe p;
+    p.hit = res.hit;
     if (!res.hit) {
-        stats_.l3Misses += 1;
-        const std::uint32_t ch = dram_.channelOf(pline);
-        const TileId ctrl = dram_.controllerTile(ch);
-        extra += net_.send(bankTile_[home], ctrl, tp_.controlBytes,
+        s.l3Misses += 1;
+        const TileId ctrl = dram_.controllerTile(dram_.channelOf(pline));
+        p.extra += to.send(home, bankTile_[home], ctrl, tp_.controlBytes,
                            TrafficClass::control);
-        extra += dram_.access(pline, is_write);
-        extra += net_.send(ctrl, bankTile_[home],
+        p.extra += to.dram(pline, is_write);
+        p.extra += to.send(home, ctrl, bankTile_[home],
                            cfg_.lineSize + tp_.controlBytes,
                            TrafficClass::data);
     }
-    if (res.writeback) {
-        // Dirty victim travels to its DRAM controller off the
-        // critical path.
-        const std::uint32_t ch = dram_.channelOf(res.victimLine);
-        const TileId ctrl = dram_.controllerTile(ch);
-        net_.send(bankTile_[home], ctrl,
-                  cfg_.lineSize + tp_.controlBytes, TrafficClass::data);
-        dram_.access(res.victimLine, true);
+    if (res.writeback)
+        writeBackL3Victim(home, res.victimLine, to);
+    return p;
+}
+
+template <class Counters>
+void
+Machine::writeBackL3Victim(BankId home, Addr victim, Counters &to)
+{
+    // The dirty victim travels to its DRAM controller off the critical
+    // path.
+    const TileId ctrl = dram_.controllerTile(dram_.channelOf(victim));
+    to.send(home, bankTile_[home], ctrl, cfg_.lineSize + tp_.controlBytes,
+            TrafficClass::data);
+    to.dram(victim, true);
+}
+
+template <class Body>
+decltype(auto)
+Machine::withSink(Body &&body)
+{
+    if (deferActive_) {
+        RecordSink sink{*this};
+        return body(sink);
     }
-    return extra;
+    InlineSink sink{*this};
+    return body(sink);
+}
+
+Cycles
+Machine::send(BankId queue_bank, TileId src, TileId dst,
+              std::uint32_t bytes, TrafficClass tc)
+{
+    return withSink([&](auto &sink) {
+        return sink.send(queue_bank, src, dst, bytes, tc);
+    });
 }
 
 Cycles
@@ -626,24 +777,19 @@ Machine::ioWrite(TileId ingress, Addr vaddr, std::uint32_t bytes)
             stats_.l3Misses += 1;
         total += cfg_.l3Latency;
         if (res.writeback) {
-            const std::uint32_t ch = dram_.channelOf(res.victimLine);
-            const TileId ctrl = dram_.controllerTile(ch);
-            net_.send(bankTile_[home], ctrl,
-                      cfg_.lineSize + tp_.controlBytes,
-                      TrafficClass::data);
-            dram_.access(res.victimLine, true);
+            InlineSink live{*this};
+            writeBackL3Victim(home, res.victimLine, live);
         }
     }
     return total;
 }
 
+template <class Sink>
 AccessOutcome
-Machine::coreAccess(CoreId core, Addr vaddr, std::uint32_t bytes,
-                    AccessType type, bool prefetch_friendly)
+Machine::coreAccessVia(Sink &sink, CoreId core, Addr vaddr,
+                       std::uint32_t bytes, AccessType type,
+                       bool prefetch_friendly)
 {
-    if (deferActive_)
-        return coreAccessDeferred(core, vaddr, bytes, type,
-                                  prefetch_friendly);
     AccessOutcome out;
     out.servedBy = 1;
     const Addr first = vaddr / cfg_.lineSize;
@@ -651,7 +797,7 @@ Machine::coreAccess(CoreId core, Addr vaddr, std::uint32_t bytes,
     const bool is_write = type != AccessType::read;
 
     for (Addr vline = first; vline <= last; ++vline) {
-        chargeCoreBusy(core, tp_.coreIssueCycles);
+        sink.coreBusy(core, tp_.coreIssueCycles);
 
         if (type != AccessType::atomic) {
             // L1 probe (virtually indexed model).
@@ -667,38 +813,25 @@ Machine::coreAccess(CoreId core, Addr vaddr, std::uint32_t bytes,
             }
             stats_.l1Misses += 1;
 
-            // L2 probe.
+            // L2 probe; its victim writes back to its home L3 bank.
             stats_.l2Accesses += 1;
             const auto r2 = l2_[core].access(vline, is_write);
-            if (r2.hit) {
-                out.latency += cfg_.l1Latency + cfg_.l2Latency;
-                out.servedBy = std::max(out.servedBy, 2);
-                if (r2.writeback) {
-                    // L2 victim writes back to its home L3 bank.
-                    const Addr wb_p =
-                        os_.pageTable().translate(r2.victimLine *
-                                                  cfg_.lineSize);
-                    const BankId wb_home = mapper_.bankOf(wb_p);
-                    net_.send(core, bankTile_[wb_home],
-                              cfg_.lineSize + tp_.controlBytes,
-                              TrafficClass::data);
-                    bool dummy = false;
-                    probeL3Line(wb_home, wb_p / cfg_.lineSize, true,
-                                dummy);
-                }
-                continue;
-            }
-            stats_.l2Misses += 1;
             if (r2.writeback) {
                 const Addr wb_p = os_.pageTable().translate(
                     r2.victimLine * cfg_.lineSize);
                 const BankId wb_home = mapper_.bankOf(wb_p);
-                net_.send(core, bankTile_[wb_home],
+                sink.send(wb_home, core, bankTile_[wb_home],
                           cfg_.lineSize + tp_.controlBytes,
                           TrafficClass::data);
-                bool dummy = false;
-                probeL3Line(wb_home, wb_p / cfg_.lineSize, true, dummy);
+                chargeBankBusy(wb_home, tp_.l3ServiceCycles);
+                sink.probe(wb_home, wb_p / cfg_.lineSize, true);
             }
+            if (r2.hit) {
+                out.latency += cfg_.l1Latency + cfg_.l2Latency;
+                out.servedBy = std::max(out.servedBy, 2);
+                continue;
+            }
+            stats_.l2Misses += 1;
         }
 
         // Go to the home L3 bank over the NoC; translation happens
@@ -710,12 +843,12 @@ Machine::coreAccess(CoreId core, Addr vaddr, std::uint32_t bytes,
         out.bank = home;
 
         Cycles lat = tlb_lat;
-        lat += net_.send(core, bankTile_[home], tp_.controlBytes,
+        lat += sink.send(home, core, bankTile_[home], tp_.controlBytes,
                          TrafficClass::control);
-        bool hit = false;
-        lat += cfg_.l3Latency;
-        lat += probeL3Line(home, pline, is_write, hit);
-        out.servedBy = std::max(out.servedBy, hit ? 3 : 4);
+        chargeBankBusy(home, tp_.l3ServiceCycles);
+        const Probe probe = sink.probe(home, pline, is_write);
+        lat += cfg_.l3Latency + probe.extra;
+        out.servedBy = std::max(out.servedBy, probe.hit ? 3 : 4);
 
         if (type == AccessType::atomic) {
             // RMW performed at the directory/L3; small response plus
@@ -724,44 +857,50 @@ Machine::coreAccess(CoreId core, Addr vaddr, std::uint32_t bytes,
             if (metrics_)
                 metrics_->bankAtomic(home);
             chargeBankBusy(home, tp_.atomicExtraCycles);
-            lat += net_.send(bankTile_[home], core, tp_.controlBytes,
+            lat += sink.send(home, bankTile_[home], core, tp_.controlBytes,
                              TrafficClass::control);
-            net_.send(bankTile_[home], core, tp_.controlBytes,
+            sink.send(home, bankTile_[home], core, tp_.controlBytes,
                       TrafficClass::control);
         } else {
-            lat += net_.send(bankTile_[home], core,
+            lat += sink.send(home, bankTile_[home], core,
                              cfg_.lineSize + tp_.controlBytes,
                              TrafficClass::data);
         }
-        out.latency += cfg_.l1Latency + cfg_.l2Latency + lat;
+        const Cycles latency = cfg_.l1Latency + cfg_.l2Latency + lat;
+        out.latency += latency;
         if (!prefetch_friendly) {
             // Irregular L2 miss: the core can only hide coreMaxMlp of
             // these, so sustained throughput is latency / MLP.
-            chargeCoreBusy(core,
-                           double(cfg_.l1Latency + cfg_.l2Latency + lat) /
-                               tp_.coreMaxMlp);
+            sink.mlpPenalty(core, latency, probe);
         }
     }
     return out;
+}
+
+AccessOutcome
+Machine::coreAccess(CoreId core, Addr vaddr, std::uint32_t bytes,
+                    AccessType type, bool prefetch_friendly)
+{
+    return withSink([&](auto &sink) {
+        return coreAccessVia(sink, core, vaddr, bytes, type,
+                             prefetch_friendly);
+    });
 }
 
 void
 Machine::coreCompute(CoreId core, double flops)
 {
     stats_.coreOps += static_cast<std::uint64_t>(flops);
-    if (deferActive_) {
-        recordCoreBusy(core, flops / tp_.coreFlopsPerCycle);
-        return;
-    }
-    chargeCoreBusy(core, flops / tp_.coreFlopsPerCycle);
+    withSink([&](auto &sink) {
+        sink.coreBusy(core, flops / tp_.coreFlopsPerCycle);
+    });
 }
 
+template <class Sink>
 AccessOutcome
-Machine::l3StreamAccess(BankId requester, Addr vaddr, std::uint32_t bytes,
-                        AccessType type)
+Machine::l3StreamAccessVia(Sink &sink, BankId requester, Addr vaddr,
+                           std::uint32_t bytes, AccessType type)
 {
-    if (deferActive_)
-        return l3StreamAccessDeferred(requester, vaddr, bytes, type);
     AccessOutcome out;
     out.servedBy = 3;
     const Addr first = vaddr / cfg_.lineSize;
@@ -769,18 +908,22 @@ Machine::l3StreamAccess(BankId requester, Addr vaddr, std::uint32_t bytes,
     const bool is_write = type != AccessType::read;
 
     for (Addr vline = first; vline <= last; ++vline) {
-        const Cycles tlb_lat =
-            seTranslate(requester, vline * cfg_.lineSize);
-        const Addr paddr = os_.pageTable().translate(vline * cfg_.lineSize);
+        const Addr line_vaddr = vline * cfg_.lineSize;
+        // SEL3-side translation at the requester's stream-engine TLB;
+        // interleave pools translate as direct segments (§4.1).
+        Cycles lat = line_vaddr >= mem::poolVirtBase
+                         ? 0
+                         : sink.seTlbProbe(requester,
+                                           mem::pageOf(line_vaddr));
+        const Addr paddr = os_.pageTable().translate(line_vaddr);
         const Addr pline = paddr / cfg_.lineSize;
         const BankId home = mapper_.bankOf(paddr);
         out.bank = home;
 
-        Cycles lat = tlb_lat;
         const bool remote = home != requester;
         if (remote) {
             // Indirect request to the home bank.
-            lat += net_.send(bankTile_[requester], bankTile_[home],
+            lat += sink.send(home, bankTile_[requester], bankTile_[home],
                              is_write && type != AccessType::atomic
                                  ? std::min<std::uint32_t>(bytes,
                                                            cfg_.lineSize) +
@@ -791,10 +934,10 @@ Machine::l3StreamAccess(BankId requester, Addr vaddr, std::uint32_t bytes,
                                  : (is_write ? TrafficClass::data
                                              : TrafficClass::control));
         }
-        bool hit = false;
-        lat += cfg_.l3Latency;
-        lat += probeL3Line(home, pline, is_write, hit);
-        out.servedBy = std::max(out.servedBy, hit ? 3 : 4);
+        chargeBankBusy(home, tp_.l3ServiceCycles);
+        const Probe probe = sink.probe(home, pline, is_write);
+        lat += cfg_.l3Latency + probe.extra;
+        out.servedBy = std::max(out.servedBy, probe.hit ? 3 : 4);
 
         if (type == AccessType::atomic) {
             stats_.atomicOps += 1;
@@ -803,27 +946,34 @@ Machine::l3StreamAccess(BankId requester, Addr vaddr, std::uint32_t bytes,
             chargeBankBusy(home, tp_.atomicExtraCycles);
             noteAtomicStream(home);
             if (remote) {
-                lat += net_.send(bankTile_[home], bankTile_[requester],
-                                 tp_.controlBytes,
-                                 TrafficClass::control);
+                lat += sink.send(home, bankTile_[home], bankTile_[requester],
+                                 tp_.controlBytes, TrafficClass::control);
             }
         } else if (remote) {
             if (!is_write) {
                 const std::uint32_t resp =
                     std::min<std::uint32_t>(bytes, cfg_.lineSize);
-                lat += net_.send(bankTile_[home], bankTile_[requester],
+                lat += sink.send(home, bankTile_[home], bankTile_[requester],
                                  resp + tp_.controlBytes,
                                  TrafficClass::data);
             } else {
                 // Write ack.
-                lat += net_.send(bankTile_[home], bankTile_[requester],
-                                 tp_.controlBytes,
-                                 TrafficClass::control);
+                lat += sink.send(home, bankTile_[home], bankTile_[requester],
+                                 tp_.controlBytes, TrafficClass::control);
             }
         }
         out.latency += lat;
     }
     return out;
+}
+
+AccessOutcome
+Machine::l3StreamAccess(BankId requester, Addr vaddr, std::uint32_t bytes,
+                        AccessType type)
+{
+    return withSink([&](auto &sink) {
+        return l3StreamAccessVia(sink, requester, vaddr, bytes, type);
+    });
 }
 
 Cycles
@@ -833,41 +983,24 @@ Machine::forwardData(BankId from, BankId to, std::uint32_t bytes)
     // relative to a tag+data bank access.
     chargeBankBusy(from, 0.25);
     chargeBankBusy(to, 0.25);
-    if (deferActive_) {
-        recordSend(to, bankTile_[from], bankTile_[to], bytes,
-                   TrafficClass::data);
-        return net_.latencyOf(bankTile_[from], bankTile_[to], bytes);
-    }
-    return net_.send(bankTile_[from], bankTile_[to], bytes,
-                     TrafficClass::data);
+    return send(to, bankTile_[from], bankTile_[to], bytes,
+                TrafficClass::data);
 }
 
 Cycles
 Machine::migrateStream(BankId from, BankId to)
 {
     stats_.streamMigrations += 1;
-    if (deferActive_) {
-        recordSend(to, bankTile_[from], bankTile_[to], tp_.migrateBytes,
-                   TrafficClass::offload);
-        return net_.latencyOf(bankTile_[from], bankTile_[to],
-                              tp_.migrateBytes);
-    }
-    return net_.send(bankTile_[from], bankTile_[to], tp_.migrateBytes,
-                     TrafficClass::offload);
+    return send(to, bankTile_[from], bankTile_[to], tp_.migrateBytes,
+                TrafficClass::offload);
 }
 
 Cycles
 Machine::configStream(CoreId core, BankId first_bank)
 {
     stats_.streamConfigs += 1;
-    if (deferActive_) {
-        recordSend(first_bank, core, bankTile_[first_bank],
-                   tp_.configBytes, TrafficClass::offload);
-        return net_.latencyOf(core, bankTile_[first_bank],
-                              tp_.configBytes);
-    }
-    return net_.send(core, bankTile_[first_bank], tp_.configBytes,
-                     TrafficClass::offload);
+    return send(first_bank, core, bankTile_[first_bank], tp_.configBytes,
+                TrafficClass::offload);
 }
 
 void
@@ -928,31 +1061,19 @@ Machine::offloadNack(CoreId core, BankId bank)
             "offload-nack", stats_.cycles,
             detail::formatMessage("\"core\":%u,\"bank\":%u", core, bank));
     }
-    if (deferActive_) {
-        recordSend(bank, core, bankTile_[bank], tp_.configBytes,
-                   TrafficClass::offload);
-        recordSend(bank, bankTile_[bank], core, tp_.controlBytes,
-                   TrafficClass::control);
-        return net_.latencyOf(core, bankTile_[bank], tp_.configBytes) +
-               net_.latencyOf(bankTile_[bank], core, tp_.controlBytes);
-    }
-    Cycles lat = net_.send(core, bankTile_[bank], tp_.configBytes,
-                           TrafficClass::offload);
-    lat += net_.send(bankTile_[bank], core, tp_.controlBytes,
-                     TrafficClass::control);
+    Cycles lat =
+        send(bank, core, bankTile_[bank], tp_.configBytes,
+             TrafficClass::offload);
+    lat += send(bank, bankTile_[bank], core, tp_.controlBytes,
+                TrafficClass::control);
     return lat;
 }
 
 void
 Machine::creditMessage(CoreId core, BankId bank)
 {
-    if (deferActive_) {
-        recordSend(bank, core, bankTile_[bank], tp_.controlBytes,
-                   TrafficClass::control);
-        return;
-    }
-    net_.send(core, bankTile_[bank], tp_.controlBytes,
-              TrafficClass::control);
+    send(bank, core, bankTile_[bank], tp_.controlBytes,
+         TrafficClass::control);
 }
 
 void
@@ -1015,285 +1136,27 @@ Machine::flushPrivateCaches()
 }
 
 // ---------------------------------------------------------------------
-// Deferred (shard-parallel) epoch execution. The record-side twins below
-// mirror their classic counterparts statement for statement; anything
-// they charge inline happens in the same serial program order as
-// classic execution, and anything they defer is replayed either in
-// per-bank serial-projected order (wave one) or per-core record order
-// (wave two), so the result is bit-identical at any --sim-threads.
+// Deferred (shard-parallel) epoch replay.
 // ---------------------------------------------------------------------
-
-void
-Machine::recordSend(BankId queue_bank, TileId src, TileId dst,
-                    std::uint32_t bytes, TrafficClass tc)
-{
-    BankEvent ev;
-    ev.kind = BankEvent::netSend;
-    ev.arg = bytes;
-    ev.src = static_cast<std::uint16_t>(src);
-    ev.dst = static_cast<std::uint16_t>(dst);
-    ev.flags = static_cast<std::uint8_t>(tc);
-    log_->bank[queue_bank].push_back(ev);
-}
-
-std::uint32_t
-Machine::recordProbe(BankId home, Addr pline, bool is_write)
-{
-    BankEvent ev;
-    ev.kind = BankEvent::l3Probe;
-    ev.addr = pline;
-    ev.arg = log_->numSlots++;
-    ev.flags = is_write ? BankEvent::probeWrite : 0;
-    log_->bank[home].push_back(ev);
-    return ev.arg;
-}
-
-void
-Machine::recordCoreBusy(CoreId core, double cycles)
-{
-    CoreEvent ev;
-    ev.kind = CoreEvent::constBusy;
-    ev.a = std::bit_cast<std::uint64_t>(cycles);
-    log_->core[core].push_back(ev);
-}
-
-void
-Machine::recordL3Writeback(CoreId core, Addr victim_vline)
-{
-    // Classic: send the dirty L2 victim to its home bank, then
-    // probeL3Line(wb_home, ..., write) there. The bank-busy charge
-    // stays inline (record order == classic order); the probe and
-    // both messages replay on the home bank's queue.
-    const Addr wb_p =
-        os_.pageTable().translate(victim_vline * cfg_.lineSize);
-    const BankId wb_home = mapper_.bankOf(wb_p);
-    recordSend(wb_home, core, bankTile_[wb_home],
-               cfg_.lineSize + tp_.controlBytes, TrafficClass::data);
-    chargeBankBusy(wb_home, tp_.l3ServiceCycles);
-    recordProbe(wb_home, wb_p / cfg_.lineSize, true);
-}
-
-AccessOutcome
-Machine::coreAccessDeferred(CoreId core, Addr vaddr, std::uint32_t bytes,
-                            AccessType type, bool prefetch_friendly)
-{
-    AccessOutcome out;
-    out.servedBy = 1;
-    const Addr first = vaddr / cfg_.lineSize;
-    const Addr last = (vaddr + bytes - 1) / cfg_.lineSize;
-    const bool is_write = type != AccessType::read;
-
-    for (Addr vline = first; vline <= last; ++vline) {
-        recordCoreBusy(core, tp_.coreIssueCycles);
-
-        if (type != AccessType::atomic) {
-            // Private caches are core-owned and only touched by the
-            // serial record pass, so they run inline exactly as in
-            // classic execution.
-            stats_.l1Accesses += 1;
-            const auto r1 = l1_[core].access(vline, is_write);
-            if (r1.writeback) {
-                stats_.l2Accesses += 1;
-                l2_[core].access(r1.victimLine, true);
-            }
-            if (r1.hit) {
-                out.latency += cfg_.l1Latency;
-                continue;
-            }
-            stats_.l1Misses += 1;
-
-            stats_.l2Accesses += 1;
-            const auto r2 = l2_[core].access(vline, is_write);
-            if (r2.hit) {
-                out.latency += cfg_.l1Latency + cfg_.l2Latency;
-                out.servedBy = std::max(out.servedBy, 2);
-                if (r2.writeback)
-                    recordL3Writeback(core, r2.victimLine);
-                continue;
-            }
-            stats_.l2Misses += 1;
-            if (r2.writeback)
-                recordL3Writeback(core, r2.victimLine);
-        }
-
-        const Cycles tlb_lat = coreTranslate(core, vline * cfg_.lineSize);
-        const Addr paddr = os_.pageTable().translate(vline * cfg_.lineSize);
-        const Addr pline = paddr / cfg_.lineSize;
-        const BankId home = mapper_.bankOf(paddr);
-        out.bank = home;
-
-        recordSend(home, core, bankTile_[home], tp_.controlBytes,
-                   TrafficClass::control);
-        chargeBankBusy(home, tp_.l3ServiceCycles);
-        const std::uint32_t slot = recordProbe(home, pline, is_write);
-        // The L3 hit/miss resolves at replay; deferrable callers never
-        // read servedBy (see beginEpoch(deferrable)), so report the L3
-        // level without the miss refinement.
-        out.servedBy = std::max(out.servedBy, 3);
-
-        Cycles resp = 0;
-        if (type == AccessType::atomic) {
-            stats_.atomicOps += 1;
-            if (metrics_)
-                metrics_->bankAtomic(home);
-            chargeBankBusy(home, tp_.atomicExtraCycles);
-            recordSend(home, bankTile_[home], core, tp_.controlBytes,
-                       TrafficClass::control);
-            recordSend(home, bankTile_[home], core, tp_.controlBytes,
-                       TrafficClass::control);
-            resp = net_.latencyOf(bankTile_[home], core, tp_.controlBytes);
-        } else {
-            recordSend(home, bankTile_[home], core,
-                       cfg_.lineSize + tp_.controlBytes,
-                       TrafficClass::data);
-            resp = net_.latencyOf(bankTile_[home], core,
-                                  cfg_.lineSize + tp_.controlBytes);
-        }
-
-        if (!prefetch_friendly) {
-            // Both penalty operands are integer cycle counts, so wave
-            // two reproduces classic's double(base + extra) / MLP
-            // charge bit-exactly once the probe's hit bit is known.
-            const std::uint32_t ch = dram_.channelOf(pline);
-            const TileId ctrl = dram_.controllerTile(ch);
-            CoreEvent ev;
-            ev.kind = CoreEvent::mlpPenalty;
-            ev.a = cfg_.l1Latency + cfg_.l2Latency + tlb_lat +
-                   net_.latencyOf(core, bankTile_[home],
-                                  tp_.controlBytes) +
-                   cfg_.l3Latency + resp;
-            ev.b = net_.latencyOf(bankTile_[home], ctrl,
-                                  tp_.controlBytes) +
-                   dram_.latency() +
-                   net_.latencyOf(ctrl, bankTile_[home],
-                                  cfg_.lineSize + tp_.controlBytes);
-            ev.slot = slot;
-            log_->core[core].push_back(ev);
-        }
-        // Unloaded latency without the replay-resolved miss component;
-        // deferrable epoch bodies never read it.
-        out.latency += cfg_.l1Latency + cfg_.l2Latency + tlb_lat +
-                       net_.latencyOf(core, bankTile_[home],
-                                      tp_.controlBytes) +
-                       cfg_.l3Latency + resp;
-    }
-    return out;
-}
-
-AccessOutcome
-Machine::l3StreamAccessDeferred(BankId requester, Addr vaddr,
-                                std::uint32_t bytes, AccessType type)
-{
-    AccessOutcome out;
-    out.servedBy = 3;
-    const Addr first = vaddr / cfg_.lineSize;
-    const Addr last = (vaddr + bytes - 1) / cfg_.lineSize;
-    const bool is_write = type != AccessType::read;
-
-    for (Addr vline = first; vline <= last; ++vline) {
-        const Addr line_vaddr = vline * cfg_.lineSize;
-        // seTranslate() deferred: the SE TLB belongs to the requester
-        // bank's shard. Pool addresses translate as direct segments
-        // with no TLB involvement, exactly like classic.
-        if (line_vaddr < mem::poolVirtBase) {
-            BankEvent ev;
-            ev.kind = BankEvent::seTlbProbe;
-            ev.addr = mem::pageOf(line_vaddr);
-            log_->bank[requester].push_back(ev);
-        }
-        const Addr paddr = os_.pageTable().translate(line_vaddr);
-        const Addr pline = paddr / cfg_.lineSize;
-        const BankId home = mapper_.bankOf(paddr);
-        out.bank = home;
-
-        const bool remote = home != requester;
-        if (remote) {
-            recordSend(home, bankTile_[requester], bankTile_[home],
-                       is_write && type != AccessType::atomic
-                           ? std::min<std::uint32_t>(bytes,
-                                                     cfg_.lineSize) +
-                                 tp_.controlBytes
-                           : tp_.controlBytes,
-                       type == AccessType::atomic
-                           ? TrafficClass::control
-                           : (is_write ? TrafficClass::data
-                                       : TrafficClass::control));
-        }
-        chargeBankBusy(home, tp_.l3ServiceCycles);
-        recordProbe(home, pline, is_write);
-
-        if (type == AccessType::atomic) {
-            stats_.atomicOps += 1;
-            if (metrics_)
-                metrics_->bankAtomic(home);
-            chargeBankBusy(home, tp_.atomicExtraCycles);
-            noteAtomicStream(home);
-            if (remote) {
-                recordSend(home, bankTile_[home], bankTile_[requester],
-                           tp_.controlBytes, TrafficClass::control);
-            }
-        } else if (remote) {
-            if (!is_write) {
-                const std::uint32_t resp =
-                    std::min<std::uint32_t>(bytes, cfg_.lineSize);
-                recordSend(home, bankTile_[home], bankTile_[requester],
-                           resp + tp_.controlBytes, TrafficClass::data);
-            } else {
-                recordSend(home, bankTile_[home], bankTile_[requester],
-                           tp_.controlBytes, TrafficClass::control);
-            }
-        }
-        // Deferrable epoch bodies never read the outcome latency.
-        out.latency += cfg_.l3Latency;
-    }
-    return out;
-}
 
 void
 Machine::replayBankEvents(BankId b, ReplayDelta &d)
 {
+    DeltaCounters delta{*this, d};
     for (const BankEvent &ev : log_->bank[b]) {
         switch (ev.kind) {
         case BankEvent::l3Probe: {
             const bool is_write = (ev.flags & BankEvent::probeWrite) != 0;
-            d.stats.l3Accesses += 1;
-            const auto res = l3Banks_[b].access(ev.addr, is_write);
-            log_->hitBits[ev.arg] = res.hit ? 1 : 0;
-            if (metrics_)
-                metrics_->bankAccess(b, res.hit);
-            if (!res.hit) {
-                d.stats.l3Misses += 1;
-                const std::uint32_t ch = dram_.channelOf(ev.addr);
-                const TileId ctrl = dram_.controllerTile(ch);
-                net_.sendDelta(bankTile_[b], ctrl, tp_.controlBytes,
-                               TrafficClass::control, d.net);
-                d.dramChannel[ch] += 1;
-                d.stats.dramAccesses += 1;
-                d.stats.dramBytes += cfg_.lineSize;
-                net_.sendDelta(ctrl, bankTile_[b],
-                               cfg_.lineSize + tp_.controlBytes,
-                               TrafficClass::data, d.net);
-            }
-            if (res.writeback) {
-                const std::uint32_t ch = dram_.channelOf(res.victimLine);
-                const TileId ctrl = dram_.controllerTile(ch);
-                net_.sendDelta(bankTile_[b], ctrl,
-                               cfg_.lineSize + tp_.controlBytes,
-                               TrafficClass::data, d.net);
-                d.dramChannel[ch] += 1;
-                d.stats.dramAccesses += 1;
-                d.stats.dramBytes += cfg_.lineSize;
-            }
+            log_->missCycles[ev.arg] = static_cast<std::uint32_t>(
+                probeL3Line(b, ev.addr, is_write, delta).extra);
             break;
         }
         case BankEvent::seTlbProbe:
-            d.stats.tlbAccesses += 1;
-            if (!seTlb_[b].access(ev.addr, false).hit)
-                d.stats.tlbWalks += 1;
+            seTlbProbe(b, ev.addr, d.stats);
             break;
         case BankEvent::netSend:
-            net_.sendDelta(ev.src, ev.dst, ev.arg,
-                           static_cast<TrafficClass>(ev.flags), d.net);
+            net_.send(ev.src, ev.dst, ev.arg,
+                      static_cast<TrafficClass>(ev.flags), d.net);
             break;
         }
     }
@@ -1306,8 +1169,7 @@ Machine::replayCoreEvents(CoreId c)
         if (ev.kind == CoreEvent::constBusy) {
             coreBusy_[c] += std::bit_cast<double>(ev.a);
         } else {
-            const std::uint64_t lat =
-                ev.a + (log_->hitBits[ev.slot] ? 0 : ev.b);
+            const std::uint64_t lat = ev.a + log_->missCycles[ev.slot];
             coreBusy_[c] += double(lat) / tp_.coreMaxMlp;
         }
     }
@@ -1325,7 +1187,7 @@ Machine::replayDeferred(bool commit)
         pool_ = std::make_unique<sim::WorkerPool>(T);
     if (replayDeltas_.size() < T)
         replayDeltas_.resize(T);
-    log_->hitBits.assign(log_->numSlots, 0);
+    log_->missCycles.assign(log_->numSlots, 0);
 
     // Wave one: each worker owns a contiguous bank shard and replays
     // its queues in serial-projected order. The static shard -> worker
@@ -1367,9 +1229,10 @@ Machine::replayDeferred(bool commit)
     }
 
     if (commit) {
-        // Wave two: per-core busy replays need wave one's hit bits.
-        // Events replay in record order, so the floating-point
-        // accumulation matches classic execution exactly.
+        // Wave two: per-core busy replays need wave one's miss
+        // latencies. Events replay in record order, so the
+        // floating-point accumulation matches classic execution
+        // exactly.
         PROF_SCOPE("machine/epoch.replay/wave2");
         pool_->dispatch([&](unsigned w) {
             const auto c0 = static_cast<std::uint32_t>(

@@ -71,7 +71,14 @@ struct TimingParams
     void validate() const;
 };
 
-/** What happened on a simulated memory access (for callers/tests). */
+/**
+ * What happened on a simulated memory access (for callers/tests).
+ * Inside a deferred epoch (see Machine::beginEpoch) the L3 probes and
+ * SE-TLB lookups run only at replay, after the call returns: `bank`
+ * and the L1/L2 levels of `servedBy` stay exact, but `servedBy`
+ * reports 3 for every access that reached the L3, and `latency`
+ * leaves out the L3-miss round trip to DRAM and the SE-TLB latency.
+ */
 struct AccessOutcome
 {
     /** Total unloaded latency of the access. */
@@ -340,12 +347,60 @@ class Machine
 
   private:
     /**
-     * Probe L3 at the line's home bank; on miss fetch from DRAM
-     * (request + response messages, channel occupancy, writebacks).
-     * Returns the latency beyond the bank access itself.
+     * The access paths are written once, as templates over an event
+     * sink that takes every bank-side charge: InlineSink applies it at
+     * once (classic epochs), RecordSink appends it to the EpochLog for
+     * shard-parallel replay (deferred epochs). Bank and SE busy time
+     * is charged inline in both, in program order. An L3 probe counts
+     * into InlineSink (the live stats_/net_/dram_) or, at replay, into
+     * DeltaCounters (one worker's ReplayDelta).
      */
-    Cycles probeL3Line(BankId home, Addr pline, bool is_write,
-                       bool &out_hit);
+    struct InlineSink;
+    struct RecordSink;
+    struct DeltaCounters;
+
+    /** One L3 probe as its sink reports it. */
+    struct Probe
+    {
+        /** Hit at the home bank (a recorded probe reports a hit). */
+        bool hit = true;
+        /** Miss latency beyond the bank access (0 when recorded). */
+        Cycles extra = 0;
+        /** Recorded probe: its slot in EpochLog::missCycles. */
+        std::uint32_t slot = 0;
+    };
+
+    /** Call @p body with the sink deferActive_ selects. */
+    template <class Body>
+    decltype(auto) withSink(Body &&body);
+
+    template <class Sink>
+    AccessOutcome coreAccessVia(Sink &sink, CoreId core, Addr vaddr,
+                                std::uint32_t bytes, AccessType type,
+                                bool prefetch_friendly);
+    template <class Sink>
+    AccessOutcome l3StreamAccessVia(Sink &sink, BankId requester,
+                                    Addr vaddr, std::uint32_t bytes,
+                                    AccessType type);
+
+    /**
+     * Send one message; a deferred epoch queues it on @p queue_bank's
+     * replay queue. Returns its unloaded latency.
+     */
+    Cycles send(BankId queue_bank, TileId src, TileId dst,
+                std::uint32_t bytes, TrafficClass tc);
+
+    /**
+     * Probe L3 at the line's home bank; on miss fetch from DRAM
+     * (request + response messages, channel occupancy, writebacks),
+     * all counted into @p to. The bank busy charge is the caller's.
+     */
+    template <class Counters>
+    Probe probeL3Line(BankId home, Addr pline, bool is_write,
+                      Counters &to);
+    /** Send dirty L3 victim @p victim to its DRAM channel. */
+    template <class Counters>
+    void writeBackL3Victim(BankId home, Addr victim, Counters &to);
 
     /**
      * Core-side address translation: L1 dTLB -> L2 TLB -> page walk
@@ -353,10 +408,12 @@ class Machine
      */
     Cycles coreTranslate(CoreId core, Addr vaddr);
 
-    /** SEL3-side translation at bank @p bank's stream-engine TLB. */
-    Cycles seTranslate(BankId bank, Addr vaddr);
+    /**
+     * Look @p vpage up in bank @p bank's stream-engine TLB, counting
+     * into @p s. Returns the added translation latency.
+     */
+    Cycles seTlbProbe(BankId bank, Addr vpage, sim::Stats &s);
 
-    // ------------------------------------- deferred (parallel) epochs
     /** Busy charges funnel through these to keep running maxima. */
     void
     chargeBankBusy(BankId b, double cycles)
@@ -380,25 +437,7 @@ class Machine
             seBusyMax_ = v;
     }
 
-    /** Append one NoC message to @p queue_bank's replay queue. */
-    void recordSend(BankId queue_bank, TileId src, TileId dst,
-                    std::uint32_t bytes, TrafficClass tc);
-    /** Append an L3 probe at @p home; returns its hit-bit slot. */
-    std::uint32_t recordProbe(BankId home, Addr pline, bool is_write);
-    /** Append a const core-busy charge to @p core's replay queue. */
-    void recordCoreBusy(CoreId core, double cycles);
-
-    /** Deferred-record twin of coreAccess() (same stats/state). */
-    AccessOutcome coreAccessDeferred(CoreId core, Addr vaddr,
-                                     std::uint32_t bytes, AccessType type,
-                                     bool prefetch_friendly);
-    /** Deferred-record twin of l3StreamAccess(). */
-    AccessOutcome l3StreamAccessDeferred(BankId requester, Addr vaddr,
-                                         std::uint32_t bytes,
-                                         AccessType type);
-    /** Record-side half of a deferred L2-victim writeback to L3. */
-    void recordL3Writeback(CoreId core, Addr victim_vline);
-
+    // ------------------------------------- deferred (parallel) epochs
     /** Replay one bank's queue into @p d (wave one; worker thread). */
     void replayBankEvents(BankId b, ReplayDelta &d);
     /** Replay one core's busy queue (wave two; worker thread). */

@@ -243,8 +243,6 @@ mergeInto(std::vector<PhaseNode> &out, const detail::Node &node,
         std::lock_guard<std::mutex> lk(ts.shape);
         kids = node.children;
     }
-    if (inc == 0 && cnt == 0 && kids.empty())
-        return;
     PhaseNode *slot = nullptr;
     for (PhaseNode &p : out) {
         if (p.name == node.name) {
@@ -289,6 +287,11 @@ finalizeTree(std::vector<PhaseNode> &nodes)
         n.inclusiveNs = std::max(n.inclusiveNs, kids);
         n.exclusiveNs = n.inclusiveNs - kids;
     }
+    // resetForTest() zeroes nodes in place: one not entered since, with
+    // nothing entered below it, is no phase of this profile.
+    std::erase_if(nodes, [](const PhaseNode &n) {
+        return n.count == 0 && n.children.empty();
+    });
 }
 
 } // namespace
@@ -529,8 +532,9 @@ resetForTest()
     rssLastSampleNs_.store(0, std::memory_order_relaxed);
     rssLastKb_.store(0, std::memory_order_relaxed);
     rssSamples_.store(0, std::memory_order_relaxed);
-    if (enabled())
-        enabledAtNs_ = steadyNs();
+    // A disabled profiler has no wall clock running; harvest() must
+    // not report the time since some earlier test enabled it.
+    enabledAtNs_ = enabled() ? steadyNs() : 0;
 }
 
 #else // AFFALLOC_PROF_DISABLED

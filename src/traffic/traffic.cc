@@ -104,7 +104,7 @@ makeIoStream(const IoStreamParams &p)
 
         Rng rng(seed);
         for (std::uint32_t e = 0; e < cap && !drainRequested(ctx); ++e) {
-            // I/O epochs stay classic (ioWrite has no deferred twin).
+            // I/O epochs stay classic (ioWrite only runs inline).
             ctx.machine.beginEpoch(/*deferrable=*/false);
             // One DMA burst per epoch: a seeded start, then
             // consecutive lines — the sequential pattern real

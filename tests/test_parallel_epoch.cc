@@ -18,7 +18,9 @@
 #include "chaos/chaos.hh"
 #include "graph/generators.hh"
 #include "harness/sweep.hh"
+#include "mem/address.hh"
 #include "serve/serve.hh"
+#include "sim/rng.hh"
 #include "sim/simcheck.hh"
 #include "sim/worker_pool.hh"
 #include "workloads/graph_workloads.hh"
@@ -178,6 +180,235 @@ TEST(ParallelEpoch, AbortLeavesSameCacheStateAsClassic)
     const auto classic = runOne(1);
     EXPECT_EQ(runOne(2), classic);
     EXPECT_EQ(runOne(4), classic);
+}
+
+// ------------------------------- randomized primitive differential
+
+namespace
+{
+
+/** One machine setup the primitive oracle runs under. */
+struct OracleScenario
+{
+    const char *name;
+    std::uint32_t offlineBanks = 0;
+    std::uint32_t degradedLinks = 0;
+    bool referencePaths = false;
+    /** Kill a bank / degrade a link between epochs now and then. */
+    bool midRunFaults = false;
+};
+
+/** Everything the oracle compares across thread counts. */
+struct OracleResult
+{
+    sim::Stats stats;
+    std::vector<sim::EpochRecord> timeline;
+    std::vector<mem::CacheModel> l3;
+    std::vector<std::uint64_t> lifetimeLinkFlits;
+};
+
+/**
+ * Drive the raw Machine primitives with a seeded random mix: mostly
+ * deferrable epochs (recorded and replayed at sim-threads > 1), some
+ * classic ones, and an occasional abortEpoch() mid-epoch. Every choice
+ * comes from the seed alone, never from an AccessOutcome, so the same
+ * seed issues the same calls at any thread count. Small caches and
+ * TLBs force L1/L2 victim writebacks, L3 misses, dirty L3 evictions
+ * and TLB walks.
+ */
+OracleResult
+runPrimitiveMix(const OracleScenario &sc, std::uint32_t sim_threads,
+                std::uint64_t seed)
+{
+    sim::MachineConfig cfg;
+    cfg.simThreads = sim_threads;
+    cfg.referencePaths = sc.referencePaths;
+    cfg.faults.offlineBanks = sc.offlineBanks;
+    cfg.faults.degradedLinks = sc.degradedLinks;
+    cfg.l1SizeBytes = 2 * 1024;
+    cfg.l1Assoc = 2;
+    cfg.l2SizeBytes = 8 * 1024;
+    cfg.l2Assoc = 4;
+    cfg.l3BankSizeBytes = 4 * 1024;
+    cfg.l3Assoc = 4;
+    cfg.l1TlbEntries = 8;
+    cfg.l1TlbAssoc = 2;
+    cfg.l2TlbEntries = 32;
+    cfg.seTlbEntries = 16;
+    os::SimOS sim_os(cfg);
+    nsc::Machine m(cfg, sim_os);
+    alloc::AffinityAllocator allocator(m, {});
+
+    // Plain heap, a 64 B interleave pool and page-at-bank memory.
+    constexpr std::uint64_t regionBytes = 96 * 1024;
+    const Addr regions[] = {
+        m.addressSpace().simAddrOf(allocator.allocPlain(regionBytes)),
+        m.addressSpace().simAddrOf(
+            allocator.allocInterleaved(regionBytes, 64, 3)),
+        m.addressSpace().simAddrOf(
+            allocator.allocInterleaved(regionBytes, mem::pageSize, 5)),
+    };
+    const std::uint32_t cores = cfg.numTiles();
+    const std::uint32_t banks = cfg.numBanks();
+
+    Rng rng(seed);
+    const auto addr = [&](std::uint32_t bytes) {
+        const Addr base = regions[rng.below(3)];
+        return base + rng.below(regionBytes - bytes + 1);
+    };
+    const auto liveBank = [&] {
+        return m.faultPlan().redirect(
+            static_cast<BankId>(rng.below(banks)));
+    };
+    const auto core = [&] { return static_cast<CoreId>(rng.below(cores)); };
+    const AccessType types[] = {AccessType::read, AccessType::write,
+                                AccessType::atomic};
+
+    for (int epoch = 0; epoch < 48; ++epoch) {
+        if (sc.midRunFaults && rng.chance(0.1)) {
+            if (rng.chance(0.5))
+                m.injectBankFault(static_cast<BankId>(rng.below(banks)));
+            else
+                m.injectLinkDegrade(
+                    static_cast<std::uint32_t>(
+                        rng.below(m.network().mesh().numLinks())),
+                    2 + static_cast<std::uint32_t>(rng.below(3)));
+        }
+        m.beginEpoch(/*deferrable=*/!rng.chance(0.15));
+        const bool abort = rng.chance(0.08);
+        // Half the epochs aim most core accesses at one hot core, so
+        // its busy time, MLP penalties included, sets the duration.
+        const bool hot_epoch = rng.chance(0.5);
+        const CoreId hot = core();
+        const int ops = 100 + static_cast<int>(rng.below(200));
+        for (int i = 0; i < ops; ++i) {
+            if (abort && i == ops / 2)
+                break;
+            switch (rng.below(10)) {
+              case 0:
+              case 1:
+              case 2: {
+                const CoreId c =
+                    hot_epoch && rng.chance(0.7) ? hot : core();
+                const std::uint32_t bytes = 1 + rng.below(160);
+                const Addr a = addr(bytes);
+                const AccessType type = types[rng.below(3)];
+                m.coreAccess(c, a, bytes, type, rng.chance(0.5));
+                break;
+              }
+              case 3:
+              case 4: {
+                const std::uint32_t bytes = 1 + rng.below(160);
+                const Addr a = addr(bytes);
+                // Half the streams run at the line's home bank.
+                const BankId req = rng.chance(0.5) ? m.bankOfSim(a)
+                                                   : liveBank();
+                const AccessType type = types[rng.below(3)];
+                m.l3StreamAccess(req, a, bytes, type);
+                break;
+              }
+              case 5:
+              case 6: {
+                // Bank-to-bank traffic: forward or migrate.
+                const BankId from = liveBank();
+                const BankId to = liveBank();
+                if (rng.chance(0.7))
+                    m.forwardData(from, to, 8 + rng.below(120));
+                else
+                    m.migrateStream(from, to);
+                break;
+              }
+              case 7: {
+                // Core-to-bank control: configure, NACK or credit.
+                const CoreId c = core();
+                const BankId b = liveBank();
+                const std::uint64_t pick = rng.below(3);
+                if (pick == 0)
+                    m.configStream(c, b);
+                else if (pick == 1)
+                    m.offloadNack(c, b);
+                else
+                    m.creditMessage(c, b);
+                break;
+              }
+              case 8: {
+                const CoreId c = core();
+                m.coreCompute(c, double(rng.below(4096)));
+                break;
+              }
+              default: {
+                const BankId b = liveBank();
+                m.seCompute(b, double(rng.below(4096)));
+                if (rng.chance(0.2))
+                    m.noteAtomicStream(b);
+                break;
+              }
+            }
+        }
+        if (abort)
+            m.abortEpoch();
+        else
+            m.endEpoch(double(rng.below(64)),
+                       "e" + std::to_string(epoch % 3));
+    }
+
+    OracleResult r;
+    r.stats = m.stats();
+    r.timeline = m.timeline().records();
+    for (BankId b = 0; b < banks; ++b)
+        r.l3.push_back(m.l3Bank(b));
+    r.lifetimeLinkFlits = m.network().lifetimeLinkFlits();
+    return r;
+}
+
+} // namespace
+
+TEST(ParallelEpochOracle, RandomPrimitiveMixMatchesSerial)
+{
+    const OracleScenario scenarios[] = {
+        {"healthy"},
+        {"reference-paths", 0, 0, true},
+        {"offline-banks+degraded-links", 3, 6, false},
+        {"faults+reference-paths", 2, 4, true, true},
+        {"mid-run-faults", 0, 0, false, true},
+    };
+    for (const OracleScenario &sc : scenarios) {
+        for (const std::uint64_t seed : {1ull, 0x5eedull}) {
+            SCOPED_TRACE(std::string(sc.name) + " seed " +
+                         std::to_string(seed));
+            const OracleResult base = runPrimitiveMix(sc, 1, seed);
+            ASSERT_FALSE(base.timeline.empty());
+            // The mix must reach the charges it is meant to compare:
+            // aborts, L3 misses, dirty L3 victims (DRAM accesses beyond
+            // the misses) and TLB walks.
+            EXPECT_GT(base.stats.abortedEpochs, 0u);
+            EXPECT_GT(base.stats.l3Misses, 0u);
+            EXPECT_GT(base.stats.dramAccesses, base.stats.l3Misses);
+            EXPECT_GT(base.stats.tlbWalks, 0u);
+            for (const std::uint32_t t : {2u, 4u, 7u}) {
+                const OracleResult r = runPrimitiveMix(sc, t, seed);
+                EXPECT_EQ(simcheck::digestOfStats(r.stats),
+                          simcheck::digestOfStats(base.stats))
+                    << "stats diverged at sim-threads " << t;
+                ASSERT_EQ(r.timeline.size(), base.timeline.size());
+                for (std::size_t i = 0; i < r.timeline.size(); ++i) {
+                    EXPECT_EQ(r.timeline[i].endCycle,
+                              base.timeline[i].endCycle)
+                        << "epoch " << i << " sim-threads " << t;
+                    EXPECT_EQ(r.timeline[i].atomicStreamsPerBank,
+                              base.timeline[i].atomicStreamsPerBank)
+                        << "epoch " << i << " sim-threads " << t;
+                    EXPECT_EQ(r.timeline[i].phase, base.timeline[i].phase);
+                }
+                for (std::size_t b = 0; b < r.l3.size(); ++b)
+                    EXPECT_TRUE(r.l3[b] == base.l3[b])
+                        << "L3 bank " << b << " tags diverged at "
+                        << "sim-threads " << t;
+                EXPECT_EQ(r.lifetimeLinkFlits, base.lifetimeLinkFlits)
+                    << "sim-threads " << t;
+            }
+        }
+    }
 }
 
 // ------------------------------------------------------------ watchdog
