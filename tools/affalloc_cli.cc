@@ -377,6 +377,8 @@ parse(int argc, char **argv)
             }
         } else if (a == "--bundle-dir") {
             o.bundleDir = next("--bundle-dir");
+        } else if (a == "--replay") {
+            o.replayPath = next("--replay");
         } else if (a == "--plant") {
             o.plant = next("--plant");
             if (o.plant != "spare-keying") {

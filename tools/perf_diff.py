@@ -97,7 +97,17 @@ class Report:
                   file=out)
 
 
+# A wall-clock comparison is only meaningful between runs of one
+# configuration.
+RUN_CONFIG = ("quick", "jobs", "sim_threads")
+
+
 def diff_overall(base, cur, args, rep):
+    for k in RUN_CONFIG:
+        if base.get(k) != cur.get(k):
+            raise SchemaError(
+                f"runs differ in '{k}' ({base.get(k)} vs {cur.get(k)}); "
+                f"compare runs of one configuration")
     b_benches, c_benches = base["benches"], cur["benches"]
     for name in sorted(b_benches):
         if name not in c_benches:
@@ -314,6 +324,11 @@ def selftest():
     nested_cur["phases"][0]["children"][0]["inclusive_ns"] = 7_000_000_000
     run_case("nested-phase-regression", nested_base, nested_cur,
              EXIT_REGRESSION)
+
+    # Runs of different configurations cannot be compared.
+    for k, other in (("quick", False), ("jobs", 4), ("sim_threads", 4)):
+        run_case(f"{k}-mismatch", FIXTURE_BASE, _with_benches(**{k: other}),
+                 EXIT_SCHEMA)
 
     # Mixed kinds cannot be compared.
     run_case("mixed-kinds", FIXTURE_BASE, prof_base, EXIT_SCHEMA)
