@@ -1,7 +1,8 @@
 /**
  * @file
  * google-benchmark micro-benchmarks of the library's hot paths: the
- * allocator's affine and irregular fast paths per policy, bank
+ * allocator's affine and irregular fast paths per policy, the
+ * irregular free path, host -> simulated address translation, bank
  * lookups through the IOT, mesh routing, NoC accounting, and the
  * cache tag model. These measure the *simulator's own* performance
  * (host time), complementing the figure benches which report
@@ -9,6 +10,10 @@
  */
 
 #include <benchmark/benchmark.h>
+
+#include <new>
+#include <utility>
+#include <vector>
 
 #include "ds/pointer_structs.hh"
 #include "nsc/stream_executor.hh"
@@ -59,6 +64,77 @@ BENCHMARK(BM_IrregularAlloc)
     ->Arg(int(alloc::BankPolicy::linear))
     ->Arg(int(alloc::BankPolicy::minHop))
     ->Arg(int(alloc::BankPolicy::hybrid));
+
+void
+BM_IrregularFree(benchmark::State &state)
+{
+    // Frees of Hybrid-placed 64 B slots; each batch is allocated with
+    // the clock paused and freed in a scrambled order.
+    RunContext ctx(configFor(alloc::BankPolicy::hybrid));
+    void *anchor = ctx.allocator.allocInterleaved(64 * 64, 64, 0);
+    const void *aff[1] = {anchor};
+    constexpr std::size_t batch = 1 << 16;
+    std::vector<void *> live;
+    live.reserve(batch);
+    std::size_t next = 0;
+    Rng rng(6);
+    for (auto _ : state) {
+        if (next == live.size()) {
+            state.PauseTiming();
+            live.clear();
+            for (std::size_t i = 0; i < batch; ++i)
+                live.push_back(ctx.allocator.mallocAff(64, 1, aff));
+            for (std::size_t i = batch - 1; i > 0; --i)
+                std::swap(live[i], live[rng.below(i + 1)]);
+            next = 0;
+            state.ResumeTiming();
+        }
+        ctx.allocator.freeAff(live[next++]);
+    }
+    for (; next < live.size(); ++next)
+        ctx.allocator.freeAff(live[next]);
+    state.SetItemsProcessed(state.iterations());
+}
+BENCHMARK(BM_IrregularFree);
+
+void
+BM_HostTranslate(benchmark::State &state)
+{
+    // 32 k live host ranges as a serving run leaves them: 24 B list
+    // nodes from the host heap interleaved with 4 kB slot stripes, each
+    // registered against its own simulated range; lookups hit random
+    // bytes of random ranges.
+    constexpr int numRanges = 32 * 1024;
+    mem::AddressSpace as;
+    std::vector<std::pair<char *, std::size_t>> ranges;
+    ranges.reserve(numRanges);
+    Rng rng(7);
+    Addr sim = mem::poolVirtBase;
+    for (int i = 0; i < numRanges; ++i) {
+        const std::size_t bytes = rng.below(8) == 0 ? 4096 : 24;
+        auto *host = static_cast<char *>(
+            ::operator new(bytes, std::align_val_t(64)));
+        as.registerRange(host, bytes, sim);
+        sim += 4096;
+        ranges.emplace_back(host, bytes);
+    }
+    std::vector<const void *> probes(1 << 16);
+    for (const void *&p : probes) {
+        const auto &[host, bytes] = ranges[rng.below(numRanges)];
+        p = host + rng.below(bytes);
+    }
+    std::size_t i = 0;
+    for (auto _ : state) {
+        benchmark::DoNotOptimize(as.simAddrOf(probes[i]));
+        i = (i + 1) & (probes.size() - 1);
+    }
+    state.SetItemsProcessed(state.iterations());
+    for (const auto &[host, bytes] : ranges) {
+        as.unregisterRange(host);
+        ::operator delete(host, std::align_val_t(64));
+    }
+}
+BENCHMARK(BM_HostTranslate);
 
 void
 BM_AffineAlloc(benchmark::State &state)

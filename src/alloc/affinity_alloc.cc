@@ -4,6 +4,9 @@
 #include <cstring>
 #include <limits>
 #include <new>
+#include <unordered_set>
+
+#include <sys/mman.h>
 
 #include "sim/log.hh"
 #include "sim/prof.hh"
@@ -24,17 +27,38 @@ pow2Ceil(std::uint64_t v)
     return p;
 }
 
-/** Aligned host buffer (64 B so host lines mirror simulated lines). */
+/**
+ * Host buffers of at least this many bytes are mapped from the kernel
+ * and unmapped on release. 32 MB is the cap of glibc's adaptive mmap
+ * threshold: glibc maps larger blocks unless a free heap chunk happens
+ * to be big enough, and when one is, the block grows or pins the heap
+ * and peak RSS follows the heap's fragmentation instead of the live
+ * data (a few small allocations more or less moved the stencil
+ * benchmark's peak by 35 MB).
+ */
+constexpr std::size_t mappedHostBytes = std::size_t(32) << 20;
+
+/** Host buffer aligned to at least 64 B (host lines mirror simulated
+ *  lines). */
 void *
 newHost(std::size_t bytes)
 {
-    return ::operator new(bytes, std::align_val_t(64));
+    if (bytes < mappedHostBytes)
+        return ::operator new(bytes, std::align_val_t(64));
+    void *p = ::mmap(nullptr, bytes, PROT_READ | PROT_WRITE,
+                     MAP_PRIVATE | MAP_ANONYMOUS, -1, 0);
+    if (p == MAP_FAILED)
+        throw std::bad_alloc();
+    return p;
 }
 
 void
-deleteHost(void *p)
+deleteHost(void *p, std::size_t bytes)
 {
-    ::operator delete(p, std::align_val_t(64));
+    if (bytes < mappedHostBytes)
+        ::operator delete(p, std::align_val_t(64));
+    else
+        ::munmap(p, bytes);
 }
 
 /**
@@ -91,8 +115,24 @@ AffinityAllocator::AffinityAllocator(nsc::Machine &machine,
                   "has %u",
                   opts_.arena, machine.simOs().numArenas());
     }
+    if (opts_.maxAffinityAddrs > maxAffinityAddrsLimit) {
+        SIM_FATAL("alloc", "maxAffinityAddrs %u exceeds the limit of %u",
+                  opts_.maxAffinityAddrs, maxAffinityAddrsLimit);
+    }
+    // Slot records hold bank + 1 in 16 bits.
+    if (numBanks_ >= 0xffff)
+        SIM_FATAL("alloc", "%u banks exceed the slot-record range", numBanks_);
+    for (int k = 0; k < mem::numInterleavePools; ++k)
+        poolBase_[k] = machine.simOs().poolVirtBaseOf(k, opts_.arena);
     for (auto &pool : freeSlots_)
         pool.assign(numBanks_, {});
+    const noc::Mesh &mesh = machine.network().mesh();
+    bankX_.resize(numBanks_);
+    bankY_.resize(numBanks_);
+    for (BankId b = 0; b < numBanks_; ++b) {
+        bankX_[b] = mesh.xOf(machine.tileOfBank(b));
+        bankY_[b] = mesh.yOf(machine.tileOfBank(b));
+    }
     faultVersion_ = machine.faultPlan().redirectVersion();
     canaries_ = machine.config().simcheck.audit;
     auditId_ = machine.auditor().registerCheck(
@@ -117,10 +157,10 @@ AffinityAllocator::~AffinityAllocator()
     // Freed heap/page-at-bank arrays were already unregistered in
     // freeAff but keep their host backing (and ownedHost_ entry) until
     // destruction, hence the rangeStartingAt guard.
-    for (void *p : ownedHost_) {
+    for (const auto &[p, bytes] : ownedHost_) {
         if (machine_.addressSpace().rangeStartingAt(p))
             machine_.addressSpace().unregisterRange(p);
-        deleteHost(p);
+        deleteHost(p, bytes);
     }
 }
 
@@ -130,7 +170,7 @@ void *
 AffinityAllocator::allocPlain(std::size_t bytes, std::size_t align)
 {
     void *host = newHost(bytes);
-    ownedHost_.insert(host);
+    ownedHost_.emplace(host, bytes);
     const Addr sim = machine_.simOs().heapAlloc(bytes, align);
     machine_.addressSpace().registerRange(host, bytes, sim);
     ArrayInfo info;
@@ -209,10 +249,9 @@ AffinityAllocator::poolAllocAligned(std::size_t bytes, int k,
         off = cand;
     }
 
-    const Addr sim =
-        machine_.simOs().poolVirtBaseOf(k, opts_.arena) + off;
+    const Addr sim = poolBase_[k] + off;
     void *host = newHost(alloc_bytes);
-    ownedHost_.insert(host);
+    ownedHost_.emplace(host, alloc_bytes);
     machine_.addressSpace().registerRange(host, alloc_bytes, sim);
     return PoolCut{host, off, alloc_bytes};
 }
@@ -272,7 +311,7 @@ AffinityAllocator::largeAlloc(std::size_t bytes, std::uint64_t intrlv,
 
     const std::uint64_t alloc_bytes = num_pages * mem::pageSize;
     void *host = newHost(alloc_bytes);
-    ownedHost_.insert(host);
+    ownedHost_.emplace(host, alloc_bytes);
     machine_.addressSpace().registerRange(host, alloc_bytes, sim);
 
     (void)partitioned;
@@ -556,13 +595,24 @@ AffinityAllocator::carveStripe(int k)
         return false;
     stats_.alignmentWasteBytes += off - bump;
     machine_.simOs().expandPool(k, opts_.arena, off + stripe);
-    const Addr sim_base =
-        machine_.simOs().poolVirtBaseOf(k, opts_.arena) + off;
+    const Addr sim_base = poolBase_[k] + off;
     poolBump_[k] = off + stripe;
 
     void *host = newHost(stripe);
-    ownedHost_.insert(host);
+    ownedHost_.emplace(host, stripe);
     machine_.addressSpace().registerRange(host, stripe, sim_base);
+
+    SlotRecords &rec = records_[k];
+    const Addr first_slot = off / intrlv;
+    if (rec.runs.empty() ||
+        rec.runs.back().firstSlot + (rec.bank.size() -
+                                     rec.runs.back().firstRecord) !=
+            first_slot) {
+        rec.runs.push_back(SlotRecords::Run{
+            first_slot, static_cast<std::uint32_t>(rec.bank.size())});
+    }
+    rec.bank.resize(rec.bank.size() + numBanks_, 0);
+    rec.stripeHost.push_back(static_cast<char *>(host));
 
     for (std::uint32_t s = 0; s < numBanks_; ++s) {
         const Addr sim = sim_base + Addr(s) * intrlv;
@@ -613,7 +663,7 @@ AffinityAllocator::maybeReconcileFreeLists()
 }
 
 BankId
-AffinityAllocator::selectBank(const std::vector<BankId> &affinity_banks)
+AffinityAllocator::selectBank(const BankId *affinity_banks, std::uint32_t n)
 {
     PROF_SCOPE_SAMPLED("alloc/select_bank");
     // Unscored decision (random/linear policies, or Min-Hop with no
@@ -624,8 +674,7 @@ AffinityAllocator::selectBank(const std::vector<BankId> &affinity_banks)
         if (explain_) {
             obs::PlacementDecision d;
             d.policy = bankPolicyName(opts_.policy);
-            d.numAffinity =
-                static_cast<std::uint32_t>(affinity_banks.size());
+            d.numAffinity = n;
             d.chosen = chosen;
             explain_->record(d);
         }
@@ -655,7 +704,7 @@ AffinityAllocator::selectBank(const std::vector<BankId> &affinity_banks)
         break;
     }
 
-    if (affinity_banks.empty() && opts_.policy == BankPolicy::minHop) {
+    if (n == 0 && opts_.policy == BankPolicy::minHop) {
         // No affinity information: every bank scores equally under
         // Min-Hop, so fall back to a random pick instead of always
         // returning bank 0.
@@ -669,104 +718,136 @@ AffinityAllocator::selectBank(const std::vector<BankId> &affinity_banks)
     // Eq. 4's load term: machine-wide pressure when a co-run shares a
     // board, own pressure otherwise. With one tenant the board equals
     // the private counters bit-for-bit.
-    const std::vector<std::uint64_t> &loads =
-        board_ ? board_->loads : bankLoads_;
+    const std::uint64_t *loads =
+        board_ ? board_->loads.data() : bankLoads_.data();
     const double avg_load =
         static_cast<double>(board_ ? board_->total : totalLoad_) /
         static_cast<double>(numBanks_);
 
     // Manhattan distances are separable, so each bank's affinity-hop
-    // sum Σ_a (|xb - xa| + |yb - ya|) comes from per-axis histograms
-    // of the affinity tiles in O(|A| + mesh) instead of the direct
-    // O(banks x |A|) accumulation. Integer hop sums are exact in
-    // double (the direct accumulation also only ever adds integers),
-    // so Eq. 4 scores are bit-identical either way; the direct loop
-    // remains for meshes wider than the stack histograms.
+    // sum Σ_a (|xb - xa| + |yb - ya|) is sum_x[xb] + sum_y[yb], where
+    // sum_x[x] is the total x-distance from column x to the affinity
+    // tiles. One sweep over a column histogram yields every sum_x:
+    // moving from x to x + 1 brings each tile at or left of x one
+    // step farther and every other tile one step nearer. That is
+    // O(|A| + mesh) instead of the direct O(banks x |A|)
+    // accumulation, which remains for meshes wider than the stack
+    // histograms. Integer hop sums are exact in double, as is the
+    // direct accumulation's running sum, so scores are bit-identical
+    // either way.
     constexpr std::uint32_t maxDim = 64;
     const noc::Mesh &mesh = machine_.network().mesh();
     const std::uint32_t xd = mesh.xDim(), yd = mesh.yDim();
-    const bool separable =
-        !affinity_banks.empty() && xd <= maxDim && yd <= maxDim;
-    std::array<std::uint64_t, maxDim> sum_x{}, sum_y{};
+    const bool separable = n > 0 && xd <= maxDim && yd <= maxDim;
+    std::array<std::uint64_t, maxDim> sum_x, sum_y;
     if (separable) {
         std::array<std::uint32_t, maxDim> cnt_x{}, cnt_y{};
-        for (BankId a : affinity_banks) {
-            const TileId t = machine_.tileOfBank(a);
-            cnt_x[mesh.xOf(t)] += 1;
-            cnt_y[mesh.yOf(t)] += 1;
+        for (std::uint32_t i = 0; i < n; ++i) {
+            cnt_x[bankX_[affinity_banks[i]]] += 1;
+            cnt_y[bankY_[affinity_banks[i]]] += 1;
         }
-        for (std::uint32_t x = 0; x < xd; ++x)
-            for (std::uint32_t cx = 0; cx < xd; ++cx)
-                sum_x[x] += std::uint64_t(cnt_x[cx]) *
-                            (x > cx ? x - cx : cx - x);
-        for (std::uint32_t y = 0; y < yd; ++y)
-            for (std::uint32_t cy = 0; cy < yd; ++cy)
-                sum_y[y] += std::uint64_t(cnt_y[cy]) *
-                            (y > cy ? y - cy : cy - y);
+        const auto sweep = [n](const std::array<std::uint32_t, maxDim> &cnt,
+                               std::uint32_t dim,
+                               std::array<std::uint64_t, maxDim> &sum) {
+            std::uint64_t at0 = 0, behind = 0;
+            for (std::uint32_t c = 0; c < dim; ++c)
+                at0 += std::uint64_t(cnt[c]) * c;
+            sum[0] = at0;
+            for (std::uint32_t c = 0; c + 1 < dim; ++c) {
+                behind += cnt[c];
+                sum[c + 1] = sum[c] + behind - (n - behind);
+            }
+        };
+        sweep(cnt_x, xd, sum_x);
+        sweep(cnt_y, yd, sum_y);
     }
+    const double num_aff = static_cast<double>(n);
+    const auto hop_term = [&](BankId b) {
+        if (separable)
+            return double(sum_x[bankX_[b]] + sum_y[bankY_[b]]) / num_aff;
+        if (n == 0)
+            return 0.0;
+        double sum = 0.0;
+        for (std::uint32_t i = 0; i < n; ++i)
+            sum += machine_.hopsBetween(b, affinity_banks[i]);
+        return sum / num_aff;
+    };
+    const auto load_term = [&](BankId b) {
+        return avg_load > 0.0
+                   ? H * (static_cast<double>(loads[b]) / avg_load - 1.0)
+                   : 0.0;
+    };
 
+    // First-lowest argmin of Eq. 4 over the live banks.
+    const auto live = [&](BankId b) { return !degraded || plan.bankLive(b); };
     double best_score = std::numeric_limits<double>::infinity();
     BankId best = degraded ? plan.redirect(0) : 0;
-    // Explain-only state: the chosen bank's score decomposition and
-    // the runner-up. Maintained behind `explain_` checks so the
-    // disabled path scores exactly as before.
-    double best_hops = 0.0, best_load = 0.0;
-    double second_score = std::numeric_limits<double>::infinity();
-    BankId second = invalidBank;
     for (BankId b = 0; b < numBanks_; ++b) {
-        if (degraded && !plan.bankLive(b))
-            continue; // Eq. 4 skips offline banks
-        double avg_hops = 0.0;
-        if (separable) {
-            const TileId t = machine_.tileOfBank(b);
-            avg_hops =
-                double(sum_x[mesh.xOf(t)] + sum_y[mesh.yOf(t)]) /
-                static_cast<double>(affinity_banks.size());
-        } else if (!affinity_banks.empty()) {
-            double sum = 0.0;
-            for (BankId a : affinity_banks)
-                sum += machine_.hopsBetween(b, a);
-            avg_hops = sum / static_cast<double>(affinity_banks.size());
-        }
-        double load_term = 0.0;
-        if (avg_load > 0.0) {
-            load_term = H * (static_cast<double>(loads[b]) /
-                                 avg_load -
-                             1.0);
-        }
-        const double score = avg_hops + load_term; // Eq. 4
-        if (score < best_score) {
-            if (explain_) {
-                second_score = best_score;
-                second = best;
-                best_hops = avg_hops;
-                best_load = load_term;
-            }
+        const double score = hop_term(b) + load_term(b); // Eq. 4
+        if (score < best_score && live(b)) {
             best_score = score;
             best = b;
-        } else if (explain_ && score < second_score) {
-            second_score = score;
-            second = b;
         }
     }
     if (explain_) {
-        if (second_score == std::numeric_limits<double>::infinity()) {
-            // Single live candidate: no runner-up to report.
-            second = invalidBank;
-            second_score = 0.0;
+        // The runner-up is the first-lowest live bank other than the
+        // choice; with a single live candidate there is none.
+        double second_score = std::numeric_limits<double>::infinity();
+        BankId second = invalidBank;
+        for (BankId b = 0; b < numBanks_; ++b) {
+            const double score = hop_term(b) + load_term(b);
+            if (b != best && score < second_score && live(b)) {
+                second_score = score;
+                second = b;
+            }
         }
+        if (second == invalidBank)
+            second_score = 0.0;
         obs::PlacementDecision d;
         d.policy = bankPolicyName(opts_.policy);
-        d.numAffinity = static_cast<std::uint32_t>(affinity_banks.size());
+        d.numAffinity = n;
         d.chosen = best;
-        d.chosenAffinity = best_hops;
-        d.chosenLoad = best_load;
+        d.chosenAffinity = hop_term(best);
+        d.chosenLoad = load_term(best);
         d.chosenScore = best_score;
         d.runnerUp = second;
         d.runnerUpScore = second_score;
         explain_->record(d);
     }
     return best;
+}
+
+void *
+AffinityAllocator::claimSlot(int k, BankId bank)
+{
+    // Graceful degradation: when the requested size class's pool is
+    // exhausted, place the object in a coarser pool (the slot is
+    // bigger than needed but keeps its bank affinity).
+    for (int kk = k; kk < mem::numInterleavePools; ++kk) {
+        auto &list = freeSlots_[kk][bank];
+        if (list.empty() && !carveStripe(kk))
+            continue; // this pool is at capacity; try a coarser one
+        if (list.empty())
+            SIM_PANIC("alloc", "carveStripe did not produce a slot for bank %u", bank);
+        const Slot slot = list.back();
+        list.pop_back();
+        const std::size_t rec = recordOf(kk, slot.sim - poolBase_[kk]);
+        if (rec == npos) {
+            SIM_PANIC("alloc", "free slot sim %llx has no carve record",
+                      (unsigned long long)slot.sim);
+        }
+        records_[kk].bank[rec] = static_cast<std::uint16_t>(bank + 1);
+        if (kk != k) {
+            machine_.stats().allocFallbacks += 1;
+            stats_.fallbacks += 1;
+        }
+        addLoad(bank);
+        stats_.irregularAllocs += 1;
+        foldPlacement(slot.sim, mem::poolInterleave(kk),
+                      mem::poolInterleave(kk), bank);
+        return slot.host;
+    }
+    return nullptr;
 }
 
 void *
@@ -788,45 +869,24 @@ AffinityAllocator::mallocAff(std::size_t size, int num_aff_addrs,
     const int k = mem::poolIndexFor(intrlv);
     maybeReconcileFreeLists();
 
-    std::vector<BankId> banks;
+    std::array<BankId, maxAffinityAddrsLimit> banks;
+    std::uint32_t n = 0;
     const std::uint32_t limit =
         std::min<std::uint32_t>(static_cast<std::uint32_t>(
                                     std::max(num_aff_addrs, 0)),
                                 opts_.maxAffinityAddrs);
-    banks.reserve(limit);
     for (std::uint32_t i = 0; i < limit; ++i) {
         if (!aff_addrs[i])
             continue;
         const Addr sim = machine_.addressSpace().trySimAddrOf(aff_addrs[i]);
         if (sim == invalidAddr)
             continue;
-        banks.push_back(machine_.bankOfSim(sim));
+        banks[n++] = machine_.bankOfSim(sim);
     }
 
-    const BankId bank = selectBank(banks);
-    // Graceful degradation: when the requested size class's pool is
-    // exhausted, place the object in a coarser pool (the slot is
-    // bigger than needed but keeps its bank affinity) before giving
-    // up and using the conventional heap.
-    for (int kk = k; kk < mem::numInterleavePools; ++kk) {
-        auto &list = freeSlots_[kk][bank];
-        if (list.empty() && !carveStripe(kk))
-            continue; // this pool is at capacity; try a coarser one
-        if (list.empty())
-            SIM_PANIC("alloc", "carveStripe did not produce a slot for bank %u", bank);
-        const Slot slot = list.back();
-        list.pop_back();
-        if (kk != k) {
-            machine_.stats().allocFallbacks += 1;
-            stats_.fallbacks += 1;
-        }
-        addLoad(bank);
-        irregular_.emplace(slot.host, std::make_pair(kk, bank));
-        stats_.irregularAllocs += 1;
-        foldPlacement(slot.sim, mem::poolInterleave(kk),
-                      mem::poolInterleave(kk), bank);
-        return slot.host;
-    }
+    const BankId bank = selectBank(banks.data(), n);
+    if (void *host = claimSlot(k, bank))
+        return host;
     warn("mallocAff: every irregular pool >= %zu bytes exhausted; "
          "falling back to the conventional heap",
          size);
@@ -858,27 +918,8 @@ AffinityAllocator::allocSlotAtBank(std::size_t size, BankId bank)
     // bank's pool, then coarser pools at that bank, then the
     // conventional heap. Exhausted spare capacity degrades with
     // counters; it never crashes the run.
-    for (int kk = k; kk < mem::numInterleavePools; ++kk) {
-        auto &list = freeSlots_[kk][bank];
-        if (list.empty() && !carveStripe(kk))
-            continue; // this pool is at capacity; try a coarser one
-        if (list.empty())
-            SIM_PANIC("alloc",
-                      "carveStripe did not produce a slot for bank %u",
-                      bank);
-        const Slot slot = list.back();
-        list.pop_back();
-        if (kk != k) {
-            machine_.stats().allocFallbacks += 1;
-            stats_.fallbacks += 1;
-        }
-        addLoad(bank);
-        irregular_.emplace(slot.host, std::make_pair(kk, bank));
-        stats_.irregularAllocs += 1;
-        foldPlacement(slot.sim, mem::poolInterleave(kk),
-                      mem::poolInterleave(kk), bank);
-        return slot.host;
-    }
+    if (void *host = claimSlot(k, bank))
+        return host;
     warn("allocSlotAtBank: every pool >= %zu bytes exhausted at bank "
          "%u; falling back to the conventional heap",
          size, bank);
@@ -887,15 +928,66 @@ AffinityAllocator::allocSlotAtBank(std::size_t size, BankId bank)
     return allocPlain(size);
 }
 
+// ---------------------------------------------------------- slot records
+
+std::size_t
+AffinityAllocator::recordOf(int k, Addr off) const
+{
+    const SlotRecords &r = records_[k];
+    const Addr slot = off / mem::poolInterleave(k);
+    const auto next = std::upper_bound(
+        r.runs.begin(), r.runs.end(), slot,
+        [](Addr s, const SlotRecords::Run &run) { return s < run.firstSlot; });
+    if (next == r.runs.begin())
+        return npos;
+    const SlotRecords::Run &run = *std::prev(next);
+    const std::size_t end =
+        next == r.runs.end() ? r.bank.size() : next->firstRecord;
+    const std::size_t rec = run.firstRecord + (slot - run.firstSlot);
+    return rec < end ? rec : npos;
+}
+
+AffinityAllocator::SlotRef
+AffinityAllocator::slotOf(const void *ptr) const
+{
+    // The pool comes from the simulated segment; only this arena's
+    // slice up to the bump pointer can hold this allocator's slots.
+    const Addr sim = machine_.addressSpace().trySimAddrOf(ptr);
+    if (sim < mem::poolVirtBase ||
+        sim >= mem::poolVirtBase +
+                   Addr(mem::numInterleavePools) * mem::terabyte)
+        return SlotRef{};
+    const int k = static_cast<int>((sim - mem::poolVirtBase) /
+                                   mem::terabyte);
+    if (sim < poolBase_[k] || sim - poolBase_[k] >= poolBump_[k])
+        return SlotRef{};
+    const Addr off = sim - poolBase_[k];
+    const std::size_t rec = recordOf(k, off);
+    if (rec == npos)
+        return SlotRef{};
+    return SlotRef{k, rec, sim, off % mem::poolInterleave(k) != 0};
+}
+
 // ---------------------------------------------------------------- free
 
 void
 AffinityAllocator::freeAff(void *ptr)
 {
     PROF_SCOPE_SAMPLED("alloc/free_aff");
-    if (auto it = irregular_.find(ptr); it != irregular_.end()) {
-        const auto [k, bank] = it->second;
-        const Addr sim = machine_.addressSpace().simAddrOf(ptr);
+    if (const SlotRef s = slotOf(ptr); s.k >= 0) {
+        if (s.interior) {
+            SIM_FATAL("alloc", "freeAff of interior pointer %p (sim %llx) "
+                      "inside a pool %d irregular slot",
+                      ptr, (unsigned long long)s.sim, s.k);
+        }
+        std::uint16_t &live = records_[s.k].bank[s.rec];
+        if (live == 0) {
+            SIM_FATAL("alloc", "double free of irregular slot %p (sim "
+                      "%llx, pool %d)",
+                      ptr, (unsigned long long)s.sim, s.k);
+        }
+        const BankId bank = live - 1u;
+        live = 0;
         maybeReconcileFreeLists();
         // Return the slot to the free list of the bank that actually
         // serves it now. The legacy keying approximated that with the
@@ -907,14 +999,13 @@ AffinityAllocator::freeAff(void *ptr)
         const BankId home =
             opts_.legacySpareKeying
                 ? (plan.bankLive(bank) ? bank : plan.redirect(bank))
-                : machine_.bankOfSim(sim);
+                : machine_.bankOfSim(s.sim);
         if (canaries_) {
-            const std::uint64_t canary = canaryFor(sim);
+            const std::uint64_t canary = canaryFor(s.sim);
             std::memcpy(ptr, &canary, sizeof(canary));
         }
-        freeSlots_[k][home].push_back(Slot{ptr, sim});
+        freeSlots_[s.k][home].push_back(Slot{ptr, s.sim});
         subLoad(bank);
-        irregular_.erase(it);
         stats_.frees += 1;
         return;
     }
@@ -929,29 +1020,15 @@ AffinityAllocator::freeAff(void *ptr)
             freeRegions_[info.poolIdx].push_back(
                 FreeRegion{info.poolOffset, info.allocBytes});
             stats_.freeRegionBytes += info.allocBytes;
-            if (ownedHost_.erase(ptr)) {
-                deleteHost(ptr);
+            if (auto owned = ownedHost_.find(ptr);
+                owned != ownedHost_.end()) {
+                deleteHost(ptr, owned->second);
+                ownedHost_.erase(owned);
             }
         }
         // Heap / page-at-bank allocations keep their host backing
         // until destruction; their simulated VA is not recycled.
         return;
-    }
-    // Unknown pointer. In audit mode, scan the free lists so a double
-    // free is reported as such rather than as a foreign pointer.
-    if (canaries_) {
-        for (int k = 0; k < mem::numInterleavePools; ++k) {
-            for (std::uint32_t b = 0; b < numBanks_; ++b) {
-                for (const Slot &slot : freeSlots_[k][b]) {
-                    if (slot.host == ptr) {
-                        SIM_FATAL("alloc",
-                                  "double free of irregular slot %p "
-                                  "(already on pool %d bank %u free list)",
-                                  ptr, k, b);
-                    }
-                }
-            }
-        }
     }
     SIM_FATAL("alloc", "freeAff of foreign pointer %p (never returned by "
               "this allocator, or already freed)",
@@ -963,9 +1040,10 @@ AffinityAllocator::reallocAff(void *ptr, std::size_t new_bytes)
 {
     if (new_bytes == 0)
         SIM_FATAL("alloc", "reallocAff to zero bytes");
-    if (auto it = irregular_.find(ptr); it != irregular_.end()) {
-        const auto [k, bank] = it->second;
-        const std::uint64_t slot_bytes = mem::poolInterleave(k);
+    if (const SlotRef s = slotOf(ptr);
+        s.k >= 0 && !s.interior && records_[s.k].bank[s.rec] != 0) {
+        const BankId bank = records_[s.k].bank[s.rec] - 1u;
+        const std::uint64_t slot_bytes = mem::poolInterleave(s.k);
         if (new_bytes <= slot_bytes)
             return ptr; // fits the existing size class in place
         // Move within the same bank so existing affinity holds.
@@ -1020,7 +1098,10 @@ AffinityAllocator::migrateVictims()
         return moved;
     maybeReconcileFreeLists();
 
-    // Collect first: the migration below mutates irregular_.
+    // Collect first: the migration below mutates the slot records.
+    // Records are kept in (pool, slot) order, which is simulated-address
+    // order, so the migration order (it feeds selectBank's load
+    // balancing) is reproducible run-to-run.
     struct Victim
     {
         void *host;
@@ -1028,20 +1109,14 @@ AffinityAllocator::migrateVictims()
         BankId bank;
     };
     std::vector<Victim> victims;
-    for (const auto &[host, kb] : irregular_) {
-        if (!plan.bankLive(kb.second))
-            victims.push_back(
-                Victim{const_cast<void *>(host), kb.first, kb.second});
+    for (int k = 0; k < mem::numInterleavePools; ++k) {
+        const std::vector<std::uint16_t> &banks = records_[k].bank;
+        for (std::size_t r = 0; r < banks.size(); ++r) {
+            if (banks[r] != 0 && !plan.bankLive(banks[r] - 1u))
+                victims.push_back(
+                    Victim{hostOfRecord(k, r), k, BankId(banks[r] - 1u)});
+        }
     }
-    // irregular_ hashes host pointers, so its iteration order varies
-    // with the host heap layout; migration order feeds selectBank's
-    // load balancing, so order it by simulated address to keep the
-    // machine's behaviour reproducible run-to-run.
-    std::sort(victims.begin(), victims.end(),
-              [this](const Victim &a, const Victim &b) {
-                  return machine_.addressSpace().simAddrOf(a.host) <
-                         machine_.addressSpace().simAddrOf(b.host);
-              });
 
     for (const Victim &v : victims) {
         const std::uint64_t slot_bytes = mem::poolInterleave(v.k);
@@ -1049,7 +1124,7 @@ AffinityAllocator::migrateVictims()
         // spare (the bank already serving the victim's lines), so the
         // replacement stays close while load balance has a say.
         const BankId spare = plan.redirect(v.bank);
-        const BankId nb = selectBank({spare});
+        const BankId nb = selectBank(&spare, 1);
         void *next = allocSlotAtBank(slot_bytes, nb);
         std::memcpy(next, v.host, slot_bytes);
         // The data physically moves spare -> new bank.
@@ -1096,8 +1171,7 @@ AffinityAllocator::auditFreeLists(simcheck::CheckContext &ctx)
 
     for (int k = 0; k < mem::numInterleavePools; ++k) {
         const std::uint64_t intrlv = mem::poolInterleave(k);
-        const Addr vbase =
-            machine_.simOs().poolVirtBaseOf(k, opts_.arena);
+        const Addr vbase = poolBase_[k];
         for (std::uint32_t b = 0; b < numBanks_; ++b) {
             for (const Slot &slot : freeSlots_[k][b]) {
                 if (slot.host == nullptr) {
@@ -1211,28 +1285,25 @@ AffinityAllocator::auditFreeLists(simcheck::CheckContext &ctx)
     }
 
     // Irregular bookkeeping: live slots are never on a free list and
-    // the per-bank loads reconcile with the live-slot map.
+    // the per-bank loads reconcile with the live slot records. Records
+    // are positional in this allocator's own arena, so a live slot
+    // cannot name another tenant's memory.
     std::vector<std::uint64_t> loads(numBanks_, 0);
     std::uint64_t total = 0;
-    for (const auto &[host, kb] : irregular_) {
-        if (free_hosts.count(host)) {
-            ctx.failf("live irregular slot %p is also on a free list "
-                      "(double-booked)",
-                      host);
+    for (int k = 0; k < mem::numInterleavePools; ++k) {
+        const std::vector<std::uint16_t> &banks = records_[k].bank;
+        for (std::size_t r = 0; r < banks.size(); ++r) {
+            if (banks[r] == 0)
+                continue;
+            const void *host = hostOfRecord(k, r);
+            if (free_hosts.count(host)) {
+                ctx.failf("live irregular slot %p is also on a free list "
+                          "(double-booked)",
+                          host);
+            }
+            loads[banks[r] - 1u] += 1;
+            total += 1;
         }
-        const Addr sim = machine_.addressSpace().trySimAddrOf(host);
-        if (sim != invalidAddr && sim >= mem::poolVirtBase &&
-            sim < mem::poolVirtBase +
-                      Addr(mem::numInterleavePools) * mem::terabyte &&
-            machine_.simOs().arenaOfPoolAddr(sim) != opts_.arena) {
-            ctx.failf("live irregular slot %p (sim %llx) lives in arena "
-                      "%u but this allocator owns arena %u "
-                      "(cross-tenant pointer)",
-                      host, (unsigned long long)sim,
-                      machine_.simOs().arenaOfPoolAddr(sim), opts_.arena);
-        }
-        loads[kb.second] += 1;
-        total += 1;
     }
     if (total != totalLoad_) {
         ctx.failf("totalLoad %llu != %llu live irregular slots",

@@ -27,7 +27,6 @@
 #include <array>
 #include <cstdint>
 #include <unordered_map>
-#include <unordered_set>
 #include <vector>
 
 #include "mem/address.hh"
@@ -75,6 +74,13 @@ enum class BankPolicy : std::uint8_t
     hybrid
 };
 
+/**
+ * Most affinity addresses one irregular allocation can consider: the
+ * bound on AllocatorOptions::maxAffinityAddrs, so mallocAff can gather
+ * the affinity banks in a stack buffer.
+ */
+inline constexpr std::uint32_t maxAffinityAddrsLimit = 64;
+
 /** Human-readable policy name (figure labels). */
 const char *bankPolicyName(BankPolicy p);
 
@@ -114,7 +120,8 @@ struct AllocatorOptions
     double hybridH = 5.0;
     /** Seed for the random policy. */
     std::uint64_t seed = 7;
-    /** Max affinity addresses considered per allocation (§5.1). */
+    /** Max affinity addresses considered per allocation (§5.1);
+     *  at most maxAffinityAddrsLimit. */
     std::uint32_t maxAffinityAddrs = 32;
     /** OS arena this allocator draws pools from (tenant isolation). */
     std::uint32_t arena = 0;
@@ -292,11 +299,20 @@ class AffinityAllocator
     double hybridH() const { return opts_.hybridH; }
 
     /**
-     * Bank the policy would select for the given affinity banks
-     * (exposed for tests and for data structures that reason about
-     * placement without allocating).
+     * Bank the policy would select for the @p n affinity banks at
+     * @p affinity_banks (Eq. 4 for Min-Hop and Hybrid).
      */
-    BankId selectBank(const std::vector<BankId> &affinity_banks);
+    BankId selectBank(const BankId *affinity_banks, std::uint32_t n);
+    /**
+     * selectBank over a vector (for tests and for data structures that
+     * reason about placement without allocating).
+     */
+    BankId
+    selectBank(const std::vector<BankId> &affinity_banks)
+    {
+        return selectBank(affinity_banks.data(),
+                          static_cast<std::uint32_t>(affinity_banks.size()));
+    }
 
     /**
      * Attach (or detach, with nullptr) a placement-explain log; every
@@ -345,10 +361,65 @@ class AffinityAllocator
     /**
      * Carve one stripe (numBanks slots) of pool @p k into free
      * lists, keyed by each slot's live home bank (offline banks'
-     * slots land at their spare). Returns false when the pool is at
-     * capacity (the caller must degrade).
+     * slots land at their spare), and append the stripe's slot
+     * records. Returns false when the pool is at capacity (the caller
+     * must degrade).
      */
     bool carveStripe(int k);
+    /**
+     * Pop a free slot at @p bank from pool @p k, or from the next
+     * coarser pool with room (counted as a fallback), and mark it
+     * live. Returns nullptr when every pool from @p k up is at
+     * capacity.
+     */
+    void *claimSlot(int k, BankId bank);
+
+    /**
+     * Per-pool record of every carved irregular slot, in slot order
+     * (slot = pool offset / interleaving), which is simulated-address
+     * order. Stripes are carved at the pool's bump pointer, so slot
+     * numbers only grow; consecutive carves extend one run, and an
+     * affine cut between two carves starts the next.
+     */
+    struct SlotRecords
+    {
+        /** A maximal run of consecutively numbered carved slots. */
+        struct Run
+        {
+            Addr firstSlot = 0;
+            std::uint32_t firstRecord = 0;
+        };
+        std::vector<Run> runs;
+        /** Alloc-time bank + 1 of each carved slot; 0: not live. */
+        std::vector<std::uint16_t> bank;
+        /** Host buffer of each carved stripe (numBanks slots). */
+        std::vector<char *> stripeHost;
+    };
+    /** Where a host pointer falls among the carved slots. */
+    struct SlotRef
+    {
+        /** Pool index, or -1 when the pointer is in no carved slot. */
+        int k = -1;
+        /** Index into records_[k].bank. */
+        std::size_t rec = 0;
+        /** Simulated address of the pointer. */
+        Addr sim = 0;
+        /** Whether the pointer is past the slot's first byte. */
+        bool interior = false;
+    };
+    /** Locate @p ptr among the carved slots of this allocator. */
+    SlotRef slotOf(const void *ptr) const;
+    /** Record index of the slot at pool offset @p off, or npos. */
+    std::size_t recordOf(int k, Addr off) const;
+    /** Host address of record @p rec of pool @p k. */
+    void *
+    hostOfRecord(int k, std::size_t rec) const
+    {
+        return records_[k].stripeHost[rec / numBanks_] +
+               (rec % numBanks_) * mem::poolInterleave(k);
+    }
+    static constexpr std::size_t npos = ~std::size_t(0);
+
     /** One claimed pool region. */
     struct PoolCut
     {
@@ -409,6 +480,8 @@ class AffinityAllocator
         std::uint64_t bytes = 0;
     };
 
+    /** Simulated base of each pool segment in this allocator's arena. */
+    std::array<Addr, mem::numInterleavePools> poolBase_{};
     /** Bump offsets per pool (bytes used from each pool segment). */
     std::array<Addr, mem::numInterleavePools> poolBump_{};
     /** Freed affine regions per pool, reusable by poolAllocAligned. */
@@ -417,8 +490,8 @@ class AffinityAllocator
     /** Free slots per pool per bank. */
     std::array<std::vector<std::vector<Slot>>, mem::numInterleavePools>
         freeSlots_;
-    /** Host backing buffers owned by the allocator. */
-    std::unordered_set<void *> ownedHost_;
+    /** Host backing buffers owned by the allocator, with their bytes. */
+    std::unordered_map<void *, std::size_t> ownedHost_;
 
     /** Shared cross-tenant load board (null outside co-runs). */
     BankLoadBoard *board_ = nullptr;
@@ -451,8 +524,11 @@ class AffinityAllocator
 
     /** Metadata for affine/plain allocations keyed by host pointer. */
     std::unordered_map<const void *, ArrayInfo> arrays_;
-    /** Live irregular slots keyed by host pointer (value: pool idx). */
-    std::unordered_map<const void *, std::pair<int, BankId>> irregular_;
+    /** Carved irregular slots and their liveness, per pool. */
+    std::array<SlotRecords, mem::numInterleavePools> records_;
+
+    /** Mesh x / y of each bank's tile (Eq. 4's separable hop sums). */
+    std::vector<std::uint32_t> bankX_, bankY_;
 
     AllocStats stats_;
 

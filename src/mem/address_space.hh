@@ -12,7 +12,9 @@
 
 #include <array>
 #include <cstdint>
-#include <map>
+#include <optional>
+#include <utility>
+#include <vector>
 
 #include "sim/types.hh"
 
@@ -31,13 +33,22 @@ struct HostRange
 };
 
 /**
- * Sorted registry of host ranges with a small MRU lookup cache in
- * front of the sorted map. Kernels interleave lookups across a handful
- * of concurrently-live arrays (A/B/C of vecadd, frontier + edge +
- * value arrays of the graph kernels), which a one-entry cache thrashes
- * on; eight recency-ordered slots cover them. The cache is a pure
- * host-side fast path (hits return exactly what the map lookup
- * returns) and is emptied on any register/unregister.
+ * Registry of disjoint host ranges, indexed by host granule. Each
+ * range is cut at the granule boundaries of one of three levels (64 B
+ * lines for ranges up to 128 B, 4 kB pages below 4 MB, 2 MB above),
+ * and each cut piece is one 16 B entry of that level's open-addressed
+ * hash table, keyed by granule number, holding the piece's host start,
+ * length and simulated start inline. A lookup probes the granule of
+ * the pointer in each non-empty level, finest first, and stops at the
+ * piece that contains it; pieces are disjoint, so containment alone
+ * identifies the hit. A range therefore costs at most a few entries
+ * beyond bytes / granule. Each table is resized when a registration
+ * would take its load past 1/2 or finds it below 1/8, so it stays
+ * sized to its live pieces. Lookups never mutate state.
+ *
+ * Host addresses must lie below 2^48 and simulated addresses below
+ * 2^52 (both hold for every user-space pointer and every segment of
+ * the simulated layout); registration rejects anything else.
  */
 class AddressSpace
 {
@@ -55,41 +66,102 @@ class AddressSpace
     /** Simulated address, or invalidAddr if unregistered. */
     Addr trySimAddrOf(const void *host_ptr) const;
 
-    /** The range starting exactly at @p host_ptr, or nullptr. */
-    const HostRange *rangeStartingAt(const void *host_ptr) const;
+    /** The range starting exactly at @p host_ptr, if any. */
+    std::optional<HostRange> rangeStartingAt(const void *host_ptr) const;
 
-    /** The range containing @p host_ptr, or nullptr. */
-    const HostRange *rangeContaining(const void *host_ptr) const;
+    /** The range containing @p host_ptr, if any. */
+    std::optional<HostRange> rangeContaining(const void *host_ptr) const;
 
     /** Number of registered ranges. */
-    std::size_t size() const { return ranges_.size(); }
+    std::size_t size() const { return numRanges_; }
 
     /**
      * Number of registered ranges whose simulated start address lies
-     * in [sim_lo, sim_hi). Linear in the number of ranges (the map is
-     * keyed by host address) — meant for hygiene assertions at slot
-     * recycle boundaries, not hot paths. The serving front-end uses it
-     * to prove a freed tenant arena left no host ranges behind before
-     * the arena is handed to the next request.
+     * in [sim_lo, sim_hi). Linear in the index size — meant for
+     * hygiene assertions at slot recycle boundaries, not hot paths.
+     * The serving front-end uses it to prove a freed tenant arena left
+     * no host ranges behind before the arena is handed to the next
+     * request.
      */
     std::size_t numRangesInSimWindow(Addr sim_lo, Addr sim_hi) const;
 
-    /**
-     * Resolve every lookup through the sorted map, bypassing the MRU
-     * cache (reference mode). The digest-equivalence regression test
-     * runs both ways and asserts identical results.
-     */
-    void setReferenceMode(bool reference) { referenceMode_ = reference; }
-
   private:
-    /** MRU cache slots (recency-ordered, nullptr when empty). */
-    static constexpr std::size_t mruSlots = 8;
+    /**
+     * The part of one range inside one granule. Packed into two words:
+     * host = start (48 bits) | first-piece flag | low 15 bits of
+     * (length - 1); sim = simulated start (52 bits) | high 12 bits of
+     * (length - 1). An all-zero host word marks an empty slot.
+     */
+    struct Piece
+    {
+        std::uint64_t host = 0;
+        std::uint64_t sim = 0;
 
-    std::map<std::uintptr_t, HostRange> ranges_; // keyed by hostStart
-    // Map nodes are pointer-stable, so cached pointers stay valid
-    // until the cache is emptied on the next register/unregister.
-    mutable std::array<const HostRange *, mruSlots> mru_{};
-    bool referenceMode_ = false;
+        static Piece make(std::uintptr_t start, std::uint64_t len,
+                          Addr sim_start, bool first);
+        bool empty() const { return host == 0; }
+        std::uintptr_t start() const { return host & hostMask; }
+        bool first() const { return (host >> hostBits) & 1; }
+        std::uint64_t
+        len() const
+        {
+            return ((host >> (hostBits + 1)) |
+                    ((sim >> simBits) << lenLowBits)) +
+                   1;
+        }
+        Addr simStart() const { return sim & simMask; }
+        std::uintptr_t end() const { return start() + len(); }
+    };
+
+    /** One granularity: a linear-probing table of pieces. */
+    struct Level
+    {
+        /** log2 of the granule size. */
+        int shift;
+        /** Power-of-two slot array (empty before the first piece). */
+        std::vector<Piece> slots{};
+        /** log2(slots.size()). */
+        int bits = 0;
+        /** Live pieces. */
+        std::size_t count = 0;
+
+        /** Home slot of granule @p g. */
+        std::size_t
+        home(std::uint64_t g) const
+        {
+            return static_cast<std::size_t>(
+                (g * 0x9e3779b97f4a7c15ULL) >> (64 - bits));
+        }
+        /** Slot index of the piece containing @p p, or npos. */
+        std::size_t find(std::uintptr_t p) const;
+        /** Whether any piece intersects [start, end). */
+        bool intersects(std::uintptr_t start, std::uintptr_t end) const;
+        void insert(const Piece &piece);
+        /** Backward-shift deletion of slot @p i. */
+        void erase(std::size_t i);
+        /** Rehash to 2^@p new_bits slots. */
+        void rehash(int new_bits);
+    };
+
+    static constexpr int hostBits = 48;
+    static constexpr int simBits = 52;
+    static constexpr int lenLowBits = 63 - hostBits;
+    static constexpr std::uint64_t hostMask =
+        (std::uint64_t(1) << hostBits) - 1;
+    static constexpr std::uint64_t simMask =
+        (std::uint64_t(1) << simBits) - 1;
+    static constexpr std::size_t npos = ~std::size_t(0);
+
+    /** The level a range of @p bytes is indexed at. */
+    Level &levelFor(std::size_t bytes);
+    /** The piece containing @p p and its level, or {nullptr, nullptr}. */
+    std::pair<const Level *, const Piece *> find(std::uintptr_t p) const;
+    /** The whole range that piece @p e of level @p lv belongs to. */
+    HostRange rangeOf(const Level &lv, const Piece &e) const;
+
+    /** Lines, pages, 2 MB blocks. */
+    std::array<Level, 3> levels_{{{6}, {12}, {21}}};
+    std::size_t numRanges_ = 0;
 };
 
 } // namespace affalloc::mem

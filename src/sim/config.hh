@@ -208,7 +208,7 @@ struct MachineConfig
     /**
      * Run the memory/NoC lookup structures on their reference (slow)
      * paths: no software TLB in front of the page table, linear IOT
-     * scans, no host-range MRU cache, coordinate-walked NoC routes.
+     * scans, coordinate-walked NoC routes.
      * Simulated behaviour is identical either way — the
      * digest-equivalence regression test runs both and asserts
      * identical digests; this flag exists only for that test and for

@@ -372,6 +372,85 @@ TEST(IrregularAlloc, FreeUnknownPointerFatal)
     EXPECT_THROW(f.allocator->freeAff(&x), FatalError);
 }
 
+TEST(IrregularAlloc, DoubleFreeFatal)
+{
+    // Slot liveness is recorded per carved slot, so a second free is
+    // caught without the audit-mode canaries.
+    MachineFixture f;
+    void *p = f.allocator->mallocAff(64, 0, nullptr);
+    void *q = f.allocator->mallocAff(64, 0, nullptr);
+    f.allocator->freeAff(p);
+    EXPECT_THROW(f.allocator->freeAff(p), FatalError);
+    // The failed free changed nothing: the neighbour frees normally.
+    EXPECT_NO_THROW(f.allocator->freeAff(q));
+    EXPECT_EQ(f.allocator->allocStats().frees, 2u);
+}
+
+TEST(IrregularAlloc, ForeignSlotPointerFatal)
+{
+    // A slot of another tenant's allocator on the same machine: it is
+    // registered and lies in a pool segment, but not in this
+    // allocator's arena.
+    sim::MachineConfig cfg;
+    os::SimOS os(cfg);
+    const std::uint32_t arena_b = os.createArena();
+    nsc::Machine machine(cfg, os);
+    alloc::AffinityAllocator a(machine, {});
+    AllocatorOptions opts_b;
+    opts_b.arena = arena_b;
+    alloc::AffinityAllocator b(machine, opts_b);
+    void *mine = a.mallocAff(64, 0, nullptr);
+    void *theirs = b.mallocAff(64, 0, nullptr);
+    EXPECT_THROW(a.freeAff(theirs), FatalError);
+    EXPECT_NO_THROW(b.freeAff(theirs));
+    EXPECT_NO_THROW(a.freeAff(mine));
+}
+
+TEST(IrregularAlloc, InteriorSlotPointerFatal)
+{
+    MachineFixture f;
+    auto *p = static_cast<char *>(f.allocator->mallocAff(128, 0, nullptr));
+    EXPECT_THROW(f.allocator->freeAff(p + 8), FatalError);
+    EXPECT_THROW(f.allocator->freeAff(p + 64), FatalError);
+    // The slot itself is still live and frees normally.
+    EXPECT_NO_THROW(f.allocator->freeAff(p));
+    EXPECT_EQ(f.allocator->allocStats().frees, 1u);
+}
+
+TEST(IrregularAlloc, MigrateVictimsInSimAddressOrder)
+{
+    // Slots pinned to banks in a scrambled order across several
+    // stripes and two size classes; two banks die, and one sweep must
+    // move every victim, in increasing simulated address.
+    MachineFixture f;
+    std::vector<void *> slots;
+    for (int round = 0; round < 6; ++round) {
+        for (BankId b = 0; b < 64; ++b) {
+            const BankId bank = (b * 37 + round * 11) % 64;
+            slots.push_back(
+                f.allocator->allocSlotAtBank(round % 2 ? 128 : 64, bank));
+        }
+    }
+    std::size_t expected = 0;
+    for (void *p : slots) {
+        const BankId b = f.machine->bankOfHost(p);
+        expected += b == 9 || b == 42;
+    }
+    f.machine->injectBankFault(42);
+    f.machine->injectBankFault(9);
+    const auto moved = f.allocator->migrateVictims();
+    ASSERT_EQ(moved.size(), expected);
+    const mem::AddressSpace &as = f.machine->addressSpace();
+    for (std::size_t i = 1; i < moved.size(); ++i) {
+        EXPECT_LT(as.simAddrOf(moved[i - 1].first),
+                  as.simAddrOf(moved[i].first))
+            << "victim " << i;
+    }
+    for (const auto &[old_p, new_p] : moved)
+        EXPECT_TRUE(f.machine->bankLive(f.machine->bankOfHost(new_p)));
+    EXPECT_TRUE(f.allocator->migrateVictims().empty());
+}
+
 // ----------------------------------------------------------- low level
 
 TEST(AllocInterleaved, StartBankHonored)
