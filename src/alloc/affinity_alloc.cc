@@ -29,14 +29,16 @@ pow2Ceil(std::uint64_t v)
 
 /**
  * Host buffers of at least this many bytes are mapped from the kernel
- * and unmapped on release. 32 MB is the cap of glibc's adaptive mmap
- * threshold: glibc maps larger blocks unless a free heap chunk happens
- * to be big enough, and when one is, the block grows or pins the heap
- * and peak RSS follows the heap's fragmentation instead of the live
- * data (a few small allocations more or less moved the stencil
- * benchmark's peak by 35 MB).
+ * and unmapped on release. Below glibc's 32 MB adaptive mmap cap,
+ * glibc maps a block only until the first mapped block is freed; then
+ * such blocks go to the heap, small allocations made between them pin
+ * it, and peak RSS follows the heap's fragmentation instead of the
+ * live data. On the stencil benchmark, moving the cache tags off the
+ * heap left the 17-24 MB grid buffers to fragment it (200 MB peak
+ * against 118 MB with this bound). Mapping every buffer from 4 MB up
+ * cost ~7% of stencil wall time, re-faulting fresh pages each pass.
  */
-constexpr std::size_t mappedHostBytes = std::size_t(32) << 20;
+constexpr std::size_t mappedHostBytes = std::size_t(16) << 20;
 
 /** Host buffer aligned to at least 64 B (host lines mirror simulated
  *  lines). */

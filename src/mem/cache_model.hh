@@ -8,9 +8,9 @@
 #ifndef AFFALLOC_MEM_CACHE_MODEL_HH
 #define AFFALLOC_MEM_CACHE_MODEL_HH
 
+#include <cstddef>
 #include <cstdint>
 #include <string>
-#include <vector>
 
 #include "sim/types.hh"
 
@@ -29,6 +29,102 @@ struct CacheAccessResult
 };
 
 /**
+ * Splits a line number into its set index and the key a way stores,
+ * and joins them back. (set, key) identifies the line exactly, so a
+ * way needs only the key, which is narrower than the line.
+ *
+ * - Modulo index: the set is the low setBits of the line and the key
+ *   is the line above them.
+ * - Hashed index: u = line * hashMul, set = (u ^ u >> 29) mod 2^k with
+ *   k = setBits. The key drops line bits [29, 29 + k) instead. Bits
+ *   [0, k) of u depend only on the kept low 29 line bits, and bits
+ *   [29, 29 + k) of u equal (mid * hashMul + x) mod 2^k, where mid is
+ *   the dropped field and x = (lo * hashMul) >> 29. hashMul is odd, so
+ *   mid = ((set ^ lo * hashMul) - x) * hashMul^-1 mod 2^k. This holds
+ *   for k <= 29.
+ */
+struct TagCodec
+{
+    /** Low line bits the hashed key always keeps. */
+    static constexpr unsigned hashLoBits = 29;
+    static constexpr std::uint64_t hashLoMask =
+        (std::uint64_t(1) << hashLoBits) - 1;
+    static constexpr std::uint64_t hashMul = 0x9e3779b97f4a7c15ULL;
+    /** hashMul^-1 mod 2^64 (Newton's iteration, 5 doublings). */
+    static constexpr std::uint64_t hashMulInv = [] {
+        std::uint64_t inv = hashMul;
+        for (int i = 0; i < 5; ++i)
+            inv *= 2 - hashMul * inv;
+        return inv;
+    }();
+
+    unsigned setBits = 0;
+    bool hashed = false;
+
+    std::uint32_t
+    setOf(Addr line) const
+    {
+        const std::uint64_t mask = (std::uint64_t(1) << setBits) - 1;
+        if (!hashed)
+            return static_cast<std::uint32_t>(line & mask);
+        std::uint64_t z = line * hashMul;
+        z ^= z >> hashLoBits;
+        return static_cast<std::uint32_t>(z & mask);
+    }
+
+    std::uint64_t
+    keyOf(Addr line) const
+    {
+        if (!hashed)
+            return line >> setBits;
+        return (line & hashLoMask) |
+               (line >> (hashLoBits + setBits)) << hashLoBits;
+    }
+
+    Addr
+    lineOf(std::uint64_t key, std::uint32_t set) const
+    {
+        if (!hashed)
+            return key << setBits | set;
+        const std::uint64_t mask = (std::uint64_t(1) << setBits) - 1;
+        const std::uint64_t lo = key & hashLoMask;
+        const std::uint64_t x = (lo * hashMul) >> hashLoBits;
+        const std::uint64_t mid =
+            (((set ^ lo * hashMul) - x) * hashMulInv) & mask;
+        return lo | mid << hashLoBits |
+               (key >> hashLoBits) << (hashLoBits + setBits);
+    }
+};
+
+/**
+ * Zero-filled tag storage backed by an anonymous mapping: pages cost
+ * no memory until a set on them is first written, and go back to the
+ * OS on destruction.
+ */
+class TagStore
+{
+  public:
+    TagStore() = default;
+    explicit TagStore(std::size_t bytes);
+    TagStore(const TagStore &o);
+    TagStore(TagStore &&o) noexcept;
+    /** Copy or move, by the argument's construction. */
+    TagStore &operator=(TagStore o) noexcept;
+    ~TagStore();
+
+    template <class T>
+    T *
+    as() const
+    {
+        return static_cast<T *>(base_);
+    }
+
+  private:
+    void *base_ = nullptr;
+    std::size_t bytes_ = 0;
+};
+
+/**
  * A single set-associative cache with true-LRU replacement. Addresses
  * are presented as *line numbers* (byte address / line size); the
  * model is agnostic to line size.
@@ -39,6 +135,12 @@ struct CacheAccessResult
  * identical to a timestamped true-LRU implementation — same hits, same
  * victims, same writebacks — but a hit near the front touches only a
  * few tag words and never needs a full-set victim scan.
+ *
+ * A way holds (key + 1) << 1 | dirty (TagCodec gives the key) and 0
+ * marks it empty. Entries start 32 bits wide, so a 16-way set is one
+ * 64 B host line. The first fill whose key does not fit converts the
+ * store to 64-bit entries with the same values, and the model stays
+ * wide until reset(). Lines must stay below 2^62.
  */
 class CacheModel
 {
@@ -60,7 +162,10 @@ class CacheModel
      * Access @p line (a line number). Allocates on miss, evicting LRU.
      * Write hits/fills mark the line dirty.
      */
-    CacheAccessResult access(Addr line, bool is_write);
+    CacheAccessResult access(Addr line, bool is_write)
+    {
+        return probe(line, is_write, 0);
+    }
 
     /**
      * Access @p line while confining the line's *footprint* to at most
@@ -77,6 +182,25 @@ class CacheModel
     /** Probe without modifying state. */
     bool contains(Addr line) const;
 
+    /**
+     * Ask the host to fetch the tag set @p line indexes into its
+     * cache. Changes no model state.
+     */
+    void
+    prefetch(Addr line) const
+    {
+        const std::size_t way0 = std::size_t(codec_.setOf(line)) * assoc_;
+        const char *set = store_.as<const char>() + (way0 << (wide_ ? 3 : 2));
+#if defined(__x86_64__)
+        // GCC 12 at -O2 deleted __builtin_prefetch from the callers
+        // here (it counts as free of side effects); a volatile asm
+        // statement stays.
+        asm volatile("prefetcht0 %0" : : "m"(*set));
+#else
+        __builtin_prefetch(set);
+#endif
+    }
+
     /** Invalidate everything (workload phase boundaries in tests). */
     void reset();
 
@@ -90,47 +214,45 @@ class CacheModel
     /**
      * SimCheck audit: verify internal consistency — the resident-line
      * count matches the live ways, occupancy is within sets x assoc,
-     * no line appears twice in one set, and valid ways form a prefix
-     * of every set (the recency-order invariant). Returns an empty
-     * string when healthy, else a description of the first
-     * inconsistency.
+     * every entry decodes to a line that indexes to its set and
+     * encodes back to the same entry, no line appears twice in one
+     * set, and valid ways form a prefix of every set (the
+     * recency-order invariant). Returns an empty string when healthy,
+     * else a description of the first inconsistency.
      */
     std::string checkIntegrity() const;
 
     /** Same geometry, same lines in the same recency order and dirty
      *  state: two equal models behave identically from here on. */
-    bool operator==(const CacheModel &) const = default;
+    bool operator==(const CacheModel &o) const;
 
   private:
-    std::uint32_t
-    setIndexOf(Addr line) const
-    {
-        if (!hashedIndex_)
-            return static_cast<std::uint32_t>(line) & setMask_;
-        std::uint64_t z = line * 0x9e3779b97f4a7c15ULL;
-        z ^= z >> 29;
-        return static_cast<std::uint32_t>(z) & setMask_;
-    }
+    /** Keys below this fit a 32-bit entry, (key + 1) << 1 | dirty. */
+    static constexpr std::uint64_t narrowKeyLimit = 0x7fffffff;
 
-    /** Empty way marker: no real line shifts up into bit 63. */
-    static constexpr std::uint64_t invalidEntry = ~std::uint64_t(0);
+    /** access() at @p base 0, accessCapped() at assoc - max_ways. */
+    CacheAccessResult probe(Addr line, bool is_write, std::uint32_t base);
 
-    static std::uint64_t entryOf(Addr line, bool dirty)
-    {
-        return (std::uint64_t(line) << 1) | (dirty ? 1 : 0);
-    }
-    static Addr lineOf(std::uint64_t entry) { return entry >> 1; }
-    static bool dirtyOf(std::uint64_t entry) { return entry & 1; }
+    template <class Entry>
+    CacheAccessResult probeSet(Entry *set, std::uint32_t s,
+                               std::uint64_t key, bool is_write,
+                               std::uint32_t base);
+
+    /** Way @p i (set-major) as a 64-bit entry, whatever the width. */
+    std::uint64_t entryAt(std::size_t i) const;
+
+    /** Convert the store to 64-bit entries. */
+    void widen();
+
+    std::size_t numWays() const { return std::size_t(numSets_) * assoc_; }
 
     std::uint32_t assoc_;
-    bool hashedIndex_ = false;
     std::uint32_t numSets_;
-    std::uint32_t setMask_;
+    TagCodec codec_;
+    bool wide_ = false;
     std::uint64_t residentLines_ = 0;
-    // Set-major, recency-ordered within each set. One word per way:
-    // the line number in bits [63:1] and the dirty bit in bit 0, so
-    // the hit scan and the recency shifts touch a single dense array.
-    std::vector<std::uint64_t> ways_; // numSets_ * assoc_
+    // Set-major, recency-ordered within each set.
+    TagStore store_;
 };
 
 } // namespace affalloc::mem

@@ -1115,13 +1115,24 @@ Machine::nocUtilization() const
 void
 Machine::preloadL3Range(Addr sim_base, std::uint64_t bytes)
 {
+    // Translate a batch of lines and prefetch their tag sets, then
+    // probe them: the host fetches the batch's sets in parallel.
+    constexpr Addr batch = 16;
+    BankId home[batch];
+    Addr pline[batch];
     const Addr first = sim_base / cfg_.lineSize;
     const Addr last = (sim_base + bytes - 1) / cfg_.lineSize;
-    for (Addr vline = first; vline <= last; ++vline) {
-        const Addr vaddr = vline * cfg_.lineSize;
-        const Addr paddr = os_.pageTable().translate(vaddr);
-        const BankId home = mapper_.bankOf(paddr);
-        l3Banks_[home].access(paddr / cfg_.lineSize, false);
+    for (Addr v0 = first; v0 <= last; v0 += batch) {
+        const Addr n = std::min(batch, last - v0 + 1);
+        for (Addr i = 0; i < n; ++i) {
+            const Addr paddr =
+                os_.pageTable().translate((v0 + i) * cfg_.lineSize);
+            home[i] = mapper_.bankOf(paddr);
+            pline[i] = paddr / cfg_.lineSize;
+            l3Banks_[home[i]].prefetch(pline[i]);
+        }
+        for (Addr i = 0; i < n; ++i)
+            l3Banks_[home[i]].access(pline[i], false);
     }
 }
 

@@ -345,6 +345,21 @@ class Machine
      */
     void preloadL3Range(Addr sim_base, std::uint64_t bytes);
 
+    /**
+     * Fetch the host copy of the L3 tag set that a later probe of
+     * @p vaddr's line will read. Changes no simulated state, so it can
+     * never move a digest; a no-op in deferred epochs, whose probes
+     * run later at replay.
+     */
+    void
+    prefetchL3(Addr vaddr) const
+    {
+        if (deferActive_)
+            return;
+        const Addr paddr = os_.pageTable().translate(vaddr);
+        l3Banks_[mapper_.bankOf(paddr)].prefetch(paddr / cfg_.lineSize);
+    }
+
   private:
     /**
      * The access paths are written once, as templates over an event

@@ -8,6 +8,14 @@
 namespace affalloc::nsc
 {
 
+namespace
+{
+
+/** How many lines ahead an affine NSC stream prefetches its L3 set. */
+constexpr Addr prefetchLines = 4;
+
+} // namespace
+
 StreamExecutor::StreamExecutor(Machine &m, ExecMode mode)
     : machine_(m), mode_(mode)
 {
@@ -255,12 +263,20 @@ StreamExecutor::affineKernel(const std::vector<AffineRef> &loads,
                     const std::int64_t g_hi = std::min<std::int64_t>(
                         std::int64_t(group_end),
                         std::int64_t(num_elems) - off);
+                    const Addr ref_last =
+                        ref.simBase + Addr(num_elems - 1) * es;
                     while (g < g_hi) {
                         const Addr a =
                             ref.simBase + Addr(g + off) * es;
                         const Addr al = a / line;
                         if (ll == invalidAddr || al > ll) {
                             ll = al;
+                            // Warm the tag set this stream probes a
+                            // few lines on, while it stays in the array.
+                            const Addr ahead =
+                                (al + prefetchLines) * Addr(line);
+                            if (ahead <= ref_last)
+                                machine_.prefetchL3(ahead);
                             const BankId home = machine_.bankOfSim(a);
                             // Affine streams execute as strided
                             // sub-streams: every participating bank

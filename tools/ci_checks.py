@@ -104,10 +104,12 @@ def sim_threads(bench):
 TABLE = [
     Row("whole-binaries", "ok", cmds=gtest_binaries(skip=THREADED)),
     Row("threaded-binaries", "ok", cmds=gtest_binaries(only=THREADED)),
-    # The allocation-path micro-benchmarks run briefly so they cannot rot.
+    # The allocation-path and cache-tag micro-benchmarks run briefly so
+    # they cannot rot.
     Row("micro-alloc", "ok", cmds=[
         "build/bench/micro_benchmarks --benchmark_min_time=0.01 "
-        "--benchmark_filter=BM_(HostTranslate|IrregularFree|IrregularAlloc)"]),
+        "--benchmark_filter="
+        "BM_(HostTranslate|IrregularFree|IrregularAlloc|CacheAccess)"]),
     Row("fault-smoke", "ok", cmds=[
         f"{CLI} run vecadd --mode aff {FAULTS}",
         f"{CLI} run bfs --mode near --scale 10 {FAULTS}"]),
