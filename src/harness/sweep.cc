@@ -20,34 +20,81 @@ namespace affalloc::harness
 namespace
 {
 
-unsigned
-clampJobs(long requested)
+/**
+ * The value of the first `FLAG V` or `FLAG=V` in argv, else the
+ * environment variable @p env when non-empty, else nullptr. @p origin
+ * is set to whichever of @p flag and @p env supplied it.
+ */
+const char *
+flagOrEnv(int argc, char **argv, const char *flag, const char *env,
+          const char *&origin)
 {
-    if (requested == 0) {
-        const unsigned hw = std::thread::hardware_concurrency();
-        return hw == 0 ? 1 : hw;
+    const std::size_t len = std::strlen(flag);
+    origin = flag;
+    for (int i = 1; i < argc; ++i) {
+        if (std::strcmp(argv[i], flag) == 0) {
+            if (i + 1 >= argc)
+                SIM_FATAL("harness", "%s requires a value", flag);
+            return argv[i + 1];
+        }
+        if (std::strncmp(argv[i], flag, len) == 0 && argv[i][len] == '=')
+            return argv[i] + len + 1;
     }
-    if (requested < 0)
-        return 1;
-    return static_cast<unsigned>(requested);
+    origin = env;
+    const char *value = std::getenv(env);
+    return value && *value ? value : nullptr;
 }
 
-unsigned
-validateSimThreads(const char *text, const char *origin)
+/** Strict decimal parse of a thread count; fatal above 1024. */
+long
+parseThreadCount(const char *text, const char *origin)
 {
     char *end = nullptr;
     const long v = std::strtol(text, &end, 10);
     if (end == text || *end != '\0')
         SIM_FATAL("harness", "%s: '%s' is not a number", origin, text);
+    if (v > 1024)
+        SIM_FATAL("harness", "%s: %ld threads is absurd (max 1024)",
+                  origin, v);
+    return v;
+}
+
+} // namespace
+
+unsigned
+parseJobs(int argc, char **argv)
+{
+    const char *origin = nullptr;
+    const char *text =
+        flagOrEnv(argc, argv, "--jobs", "AFFALLOC_JOBS", origin);
+    if (!text)
+        return 1;
+    const long v = parseThreadCount(text, origin);
+    if (v < 0) {
+        SIM_FATAL("harness",
+                  "%s: %ld is invalid (0 = one worker per hardware "
+                  "thread)",
+                  origin, v);
+    }
+    if (v > 0)
+        return static_cast<unsigned>(v);
+    const unsigned hw = std::thread::hardware_concurrency();
+    return hw == 0 ? 1 : hw;
+}
+
+unsigned
+applySimThreads(int argc, char **argv)
+{
+    const char *origin = nullptr;
+    const char *text = flagOrEnv(argc, argv, "--sim-threads",
+                                 "AFFALLOC_SIM_THREADS", origin);
+    const long v = text ? parseThreadCount(text, origin) : 1;
     if (v <= 0) {
         SIM_FATAL("harness",
                   "%s: %ld is invalid; need at least 1 thread to replay "
                   "the epoch (1 = classic serial execution)",
                   origin, v);
     }
-    if (v > 1024)
-        SIM_FATAL("harness", "%s: %ld threads is absurd (max 1024)",
-                  origin, v);
     const unsigned hw = std::thread::hardware_concurrency();
     const char *over = std::getenv("AFFALLOC_SIM_OVERSUBSCRIBE");
     const bool oversubscribe = over && *over && *over != '0';
@@ -59,57 +106,8 @@ validateSimThreads(const char *text, const char *origin)
                   "cgroup-limited container)",
                   origin, v, hw);
     }
+    sim::setDefaultSimThreads(static_cast<unsigned>(v));
     return static_cast<unsigned>(v);
-}
-
-} // namespace
-
-unsigned
-parseJobs(int argc, char **argv)
-{
-    for (int i = 1; i < argc; ++i) {
-        const char *arg = argv[i];
-        if (std::strcmp(arg, "--jobs") == 0) {
-            if (i + 1 >= argc)
-                SIM_FATAL("harness", "--jobs requires a value");
-            return clampJobs(std::strtol(argv[i + 1], nullptr, 10));
-        }
-        if (std::strncmp(arg, "--jobs=", 7) == 0)
-            return clampJobs(std::strtol(arg + 7, nullptr, 10));
-    }
-    if (const char *env = std::getenv("AFFALLOC_JOBS"); env && *env)
-        return clampJobs(std::strtol(env, nullptr, 10));
-    return 1;
-}
-
-unsigned
-applySimThreads(int argc, char **argv)
-{
-    unsigned threads = 1;
-    bool found = false;
-    for (int i = 1; i < argc; ++i) {
-        const char *arg = argv[i];
-        if (std::strcmp(arg, "--sim-threads") == 0) {
-            if (i + 1 >= argc)
-                SIM_FATAL("harness", "--sim-threads requires a value");
-            threads = validateSimThreads(argv[i + 1], "--sim-threads");
-            found = true;
-            break;
-        }
-        if (std::strncmp(arg, "--sim-threads=", 14) == 0) {
-            threads = validateSimThreads(arg + 14, "--sim-threads");
-            found = true;
-            break;
-        }
-    }
-    if (!found) {
-        if (const char *env = std::getenv("AFFALLOC_SIM_THREADS");
-            env && *env) {
-            threads = validateSimThreads(env, "AFFALLOC_SIM_THREADS");
-        }
-    }
-    sim::setDefaultSimThreads(threads);
-    return threads;
 }
 
 namespace
@@ -232,8 +230,14 @@ runSweepTasks(unsigned jobs, std::vector<std::function<void()>> tasks)
         return;
     PROF_SCOPE("harness/sweep");
     prof::counterMax("sweep/max_batch_tasks", n);
-    if (jobs <= 1 || n == 1) {
-        // Inline execution: identical to the pre-parallel bench loops.
+    // Reuse the process-wide worker pool so back-to-back sweeps stop
+    // paying thread spawn/join per call. dispatch() is not reentrant,
+    // so while the pool is busy (a sweep nested inside another sweep's
+    // task) the tasks run inline, like the jobs <= 1 loop.
+    static std::atomic<bool> poolBusy{false};
+    bool expected = false;
+    if (jobs <= 1 || n == 1 ||
+        !poolBusy.compare_exchange_strong(expected, true)) {
         for (auto &task : tasks)
             task();
         return;
@@ -257,31 +261,14 @@ runSweepTasks(unsigned jobs, std::vector<std::function<void()>> tasks)
         }
     };
 
-    // Reuse the process-wide worker pool so back-to-back sweeps stop
-    // paying thread spawn/join per call. dispatch() is not reentrant,
-    // so a sweep nested inside another sweep's task falls back to the
-    // original ad-hoc threads.
-    static std::atomic<bool> poolBusy{false};
-    bool expected = false;
-    if (poolBusy.compare_exchange_strong(expected, true)) {
-        prof::counterAdd("sweep/pool_batches", 1);
-        sim::WorkerPool &pool = sim::sharedWorkerPool(workers);
-        pool.dispatch([&](unsigned role) {
-            // The shared pool only ever grows; excess roles from a
-            // wider earlier sweep sit this one out.
-            if (role < workers)
-                worker();
-        });
-        poolBusy.store(false);
-    } else {
-        prof::counterAdd("sweep/adhoc_batches", 1);
-        std::vector<std::thread> pool;
-        pool.reserve(workers);
-        for (unsigned w = 0; w < workers; ++w)
-            pool.emplace_back(worker);
-        for (auto &t : pool)
-            t.join();
-    }
+    sim::WorkerPool &pool = sim::sharedWorkerPool(workers);
+    pool.dispatch([&](unsigned role) {
+        // The shared pool only ever grows; excess roles from a wider
+        // earlier sweep sit this one out.
+        if (role < workers)
+            worker();
+    });
+    poolBusy.store(false);
 
     // Deterministic error reporting: the lowest-indexed failure wins,
     // exactly as it would have surfaced from the serial loop.

@@ -23,7 +23,8 @@ namespace affalloc::harness
 /**
  * Parse the shared --jobs flag: `--jobs N`, `--jobs=N`, or the
  * AFFALLOC_JOBS environment variable (flag wins). Returns at least 1;
- * `--jobs 0` means "one per hardware thread".
+ * `--jobs 0` means "one per hardware thread". Fatal on non-numeric
+ * values, negative counts and counts above 1024.
  */
 unsigned parseJobs(int argc, char **argv);
 
@@ -63,8 +64,9 @@ bool applyProfFlags(int argc, char **argv);
 
 /**
  * Execute every task, spreading them over @p jobs worker threads
- * (inline on the calling thread when jobs <= 1 or there is only one
- * task). Tasks are claimed in index order. If any task throws, the
+ * (inline on the calling thread when jobs <= 1, when there is only one
+ * task, or when a sweep nested in another sweep's task finds the
+ * shared pool busy). Tasks are claimed in index order. If any task throws, the
  * exception of the lowest-indexed failing task is rethrown on the
  * caller after all workers have drained.
  */

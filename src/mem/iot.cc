@@ -65,13 +65,6 @@ InterleaveOverrideTable::grow(std::size_t idx, Addr new_end)
 const IotEntry *
 InterleaveOverrideTable::lookupSlow(Addr paddr) const
 {
-    if (referenceMode_) {
-        for (const auto &e : entries_) {
-            if (e.contains(paddr))
-                return &e;
-        }
-        return nullptr;
-    }
     const std::size_t pos = sortedUpperBound(paddr);
     if (pos == 0)
         return nullptr;

@@ -76,7 +76,7 @@ class InterleaveOverrideTable
     const IotEntry *
     lookup(Addr paddr) const
     {
-        if (!referenceMode_ && mru_ >= 0 && entries_[mru_].contains(paddr))
+        if (mru_ >= 0 && entries_[mru_].contains(paddr))
             return &entries_[mru_];
         return lookupSlow(paddr);
     }
@@ -95,18 +95,11 @@ class InterleaveOverrideTable
      */
     IotEntry &entryForTest(std::size_t idx) { return entries_.at(idx); }
 
-    /**
-     * Look entries up with the original linear scan instead of the
-     * binary search + MRU slot (reference mode). The digest-equivalence
-     * regression test runs both ways and asserts identical results.
-     */
-    void setReferenceMode(bool reference) { referenceMode_ = reference; }
-
   private:
     /** Position in sorted_ of the first entry with start > paddr. */
     std::size_t sortedUpperBound(Addr paddr) const;
 
-    /** MRU-miss path of lookup(): binary search (or reference scan). */
+    /** MRU-miss path of lookup(): binary search over sorted_. */
     const IotEntry *lookupSlow(Addr paddr) const;
 
     std::uint32_t capacity_;
@@ -115,7 +108,6 @@ class InterleaveOverrideTable
     std::vector<std::uint32_t> sorted_;
     /** Most recently hit entry index, or -1 (lookup locality). */
     mutable std::int32_t mru_ = -1;
-    bool referenceMode_ = false;
 };
 
 } // namespace affalloc::mem

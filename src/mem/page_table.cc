@@ -1,7 +1,5 @@
 #include "mem/page_table.hh"
 
-#include <algorithm>
-
 #include "sim/log.hh"
 
 namespace affalloc::mem
@@ -36,17 +34,11 @@ PageTable::isMapped(Addr vpage) const
 Addr
 PageTable::translateMiss(Addr vaddr) const
 {
-    const Addr vpage = pageOf(vaddr);
-    const std::uint32_t slot = slotOf(vpage);
-    auto it = table_.find(vpage);
-    if (it == table_.end())
+    const std::optional<Addr> paddr = tryTranslate(vaddr);
+    if (!paddr)
         SIM_FATAL("mem", "access to unmapped virtual address %#lx",
               (unsigned long)vaddr);
-    if (!referenceMode_) {
-        tlbVpage_[slot] = vpage;
-        tlbPpage_[slot] = it->second;
-    }
-    return pageBase(it->second) + pageOffset(vaddr);
+    return *paddr;
 }
 
 std::optional<Addr>
@@ -54,16 +46,14 @@ PageTable::tryTranslate(Addr vaddr) const
 {
     const Addr vpage = pageOf(vaddr);
     const std::uint32_t slot = slotOf(vpage);
-    if (!referenceMode_ && tlbVpage_[slot] == vpage)
-        return pageBase(tlbPpage_[slot]) + pageOffset(vaddr);
-    auto it = table_.find(vpage);
-    if (it == table_.end())
-        return std::nullopt;
-    if (!referenceMode_) {
+    if (tlbVpage_[slot] != vpage) {
+        auto it = table_.find(vpage);
+        if (it == table_.end())
+            return std::nullopt;
         tlbVpage_[slot] = vpage;
         tlbPpage_[slot] = it->second;
     }
-    return pageBase(it->second) + pageOffset(vaddr);
+    return pageBase(tlbPpage_[slot]) + pageOffset(vaddr);
 }
 
 void

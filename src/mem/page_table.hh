@@ -31,8 +31,8 @@ namespace affalloc::mem
  *
  * The TLB is a pure host-side fast path: hits and misses return
  * exactly what the backing table returns, entries are invalidated on
- * unmap and overwritten on remap, and setReferenceMode(true) bypasses
- * it entirely (the digest-equivalence test runs both ways).
+ * unmap and overwritten on remap. A randomized test checks every
+ * operation against a plain map oracle.
  */
 class PageTable
 {
@@ -54,7 +54,7 @@ class PageTable
     {
         const Addr vpage = pageOf(vaddr);
         const std::uint32_t slot = slotOf(vpage);
-        if (!referenceMode_ && tlbVpage_[slot] == vpage)
+        if (tlbVpage_[slot] == vpage)
             return pageBase(tlbPpage_[slot]) + pageOffset(vaddr);
         return translateMiss(vaddr);
     }
@@ -70,13 +70,6 @@ class PageTable
 
     /** Drop every cached translation. */
     void flushTlb();
-
-    /**
-     * Bypass the TLB and look pages up in the backing table directly
-     * (reference mode). Used by the digest-equivalence regression test
-     * to prove the fast path is behavior-preserving.
-     */
-    void setReferenceMode(bool reference) { referenceMode_ = reference; }
 
     /**
      * Probe the TLB slot for @p vpage without filling it: the cached
@@ -95,7 +88,6 @@ class PageTable
     Addr translateMiss(Addr vaddr) const;
 
     std::unordered_map<Addr, Addr> table_;
-    bool referenceMode_ = false;
     // Direct-mapped translation cache; mutable because translate() is
     // semantically const.
     mutable std::array<Addr, tlbEntries> tlbVpage_;

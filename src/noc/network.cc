@@ -133,14 +133,14 @@ void
 Network::chargeRoute(TileId src, TileId dst, std::uint32_t flits,
                      Target &to) const
 {
-    if (!referenceMode_ && !routeOffset_.empty()) {
+    if (!routeOffset_.empty()) {
         const std::size_t pair = std::size_t(src) * mesh_.numTiles() + dst;
         const std::uint32_t end = routeOffset_[pair + 1];
         for (std::uint32_t i = routeOffset_[pair]; i < end; ++i)
             chargeLink(routeLinks_[i], flits, to);
         return;
     }
-    // Reference / large-mesh path: walk the X-Y coordinates.
+    // Large-mesh path: walk the X-Y coordinates.
     std::uint32_t x = mesh_.xOf(src);
     std::uint32_t y = mesh_.yOf(src);
     const std::uint32_t tx = mesh_.xOf(dst);

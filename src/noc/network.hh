@@ -183,14 +183,6 @@ class Network
      */
     void corruptLinkFlitsForTest(std::uint32_t index, std::int64_t delta);
 
-    /**
-     * Charge routes by walking the X-Y coordinates each time instead
-     * of the precomputed route table (reference mode). The
-     * digest-equivalence regression test runs both ways and asserts
-     * identical results.
-     */
-    void setReferenceMode(bool reference) { referenceMode_ = reference; }
-
   private:
     /** Largest mesh for which the route table is precomputed. */
     static constexpr std::uint32_t routeTableMaxTiles = 256;
@@ -208,8 +200,7 @@ class Network
                 TrafficClass tc, Target &to) const;
     /**
      * Charge @p flits to every link of the X-Y route, from the route
-     * table or, in reference mode and beyond routeTableMaxTiles, by
-     * walking the coordinates.
+     * table or, beyond routeTableMaxTiles, by walking the coordinates.
      */
     template <class Target>
     void chargeRoute(TileId src, TileId dst, std::uint32_t flits,
@@ -265,7 +256,6 @@ class Network
      */
     std::vector<std::uint32_t> routeOffset_;
     std::vector<LinkId> routeLinks_;
-    bool referenceMode_ = false;
 };
 
 } // namespace affalloc::noc

@@ -47,7 +47,6 @@ Machine::Machine(const sim::MachineConfig &cfg, os::SimOS &os,
 {
     cfg_.validate();
     tp_.validate();
-    net_.setReferenceMode(cfg.referencePaths);
     net_.setFaultPlan(&os_.faultPlan());
     stats_.offlineBanks = os_.faultPlan().numOfflineBanks();
     // Bank numbering (§4.1): where bank id b physically sits.

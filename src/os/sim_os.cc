@@ -28,8 +28,6 @@ SimOS::SimOS(const sim::MachineConfig &cfg, PagePolicy heap_policy,
       nextBankPpage_(cfg.numBanks())
 {
     cfg_.validate();
-    pageTable_.setReferenceMode(cfg.referencePaths);
-    iot_.setReferenceMode(cfg.referencePaths);
     arenas_.resize(1);
     arenas_[0].iotIdx.fill(-1);
     for (BankId b = 0; b < cfg_.numBanks(); ++b)

@@ -205,16 +205,6 @@ struct MachineConfig
      * ladder (pool -> other interleavings -> plain heap).
      */
     std::uint64_t poolCapacityBytes = 0;
-    /**
-     * Run the memory/NoC lookup structures on their reference (slow)
-     * paths: no software TLB in front of the page table, linear IOT
-     * scans, coordinate-walked NoC routes.
-     * Simulated behaviour is identical either way — the
-     * digest-equivalence regression test runs both and asserts
-     * identical digests; this flag exists only for that test and for
-     * debugging suspected fast-path divergence.
-     */
-    bool referencePaths = false;
 
     // ------------------------------------------------ parallel simulation
     /**

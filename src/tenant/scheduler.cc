@@ -48,18 +48,7 @@ TenantScheduler::TenantScheduler(std::vector<TenantSpec> specs,
     : opts_(std::move(opts))
 {
     SIM_REQUIRE("tenant", !specs.empty(), "co-run needs >= 1 tenant");
-    // Each tenant adds one IOT entry per interleave pool; make sure
-    // the default table does not silently cap the tenant count.
-    const std::uint32_t needed = static_cast<std::uint32_t>(
-        mem::numInterleavePools * specs.size() + 2);
-    opts_.machine.iotEntries = std::max(opts_.machine.iotEntries, needed);
-
-    os_ = std::make_unique<os::SimOS>(opts_.machine, opts_.heapPolicy);
-    machine_ = std::make_unique<nsc::Machine>(opts_.machine, *os_);
-    if (opts_.obs.any()) {
-        observer_ = std::make_unique<obs::Observer>(opts_.obs);
-        machine_->attachObserver(observer_.get());
-    }
+    buildMachine(specs.size());
 
     for (std::size_t i = 0; i < specs.size(); ++i) {
         auto t = std::make_unique<Tenant>();
@@ -74,6 +63,23 @@ TenantScheduler::TenantScheduler(std::vector<TenantSpec> specs,
         t->seedIndex = t->id;
         notePresentClass(specs[i].cls);
         tenants_.push_back(std::move(t));
+    }
+}
+
+void
+TenantScheduler::buildMachine(std::size_t arenas)
+{
+    // Each arena (tenant or slot) adds one IOT entry per interleave
+    // pool; make sure the default table does not silently cap them.
+    const std::uint32_t needed =
+        static_cast<std::uint32_t>(mem::numInterleavePools * arenas + 2);
+    opts_.machine.iotEntries = std::max(opts_.machine.iotEntries, needed);
+
+    os_ = std::make_unique<os::SimOS>(opts_.machine, opts_.heapPolicy);
+    machine_ = std::make_unique<nsc::Machine>(opts_.machine, *os_);
+    if (opts_.obs.any()) {
+        observer_ = std::make_unique<obs::Observer>(opts_.obs);
+        machine_->attachObserver(observer_.get());
     }
 }
 
@@ -103,17 +109,8 @@ TenantScheduler::TenantScheduler(CorunOptions opts,
                 "open-system run needs >= 1 arena slot");
     openSlots_ = num_slots;
     // The IOT is sized for the recycled slots, not the (unbounded)
-    // job count: each slot adds one entry per interleave pool.
-    const std::uint32_t needed = static_cast<std::uint32_t>(
-        mem::numInterleavePools * num_slots + 2);
-    opts_.machine.iotEntries = std::max(opts_.machine.iotEntries, needed);
-
-    os_ = std::make_unique<os::SimOS>(opts_.machine, opts_.heapPolicy);
-    machine_ = std::make_unique<nsc::Machine>(opts_.machine, *os_);
-    if (opts_.obs.any()) {
-        observer_ = std::make_unique<obs::Observer>(opts_.obs);
-        machine_->attachObserver(observer_.get());
-    }
+    // job count.
+    buildMachine(num_slots);
     // Arena 0 is implicit; create the remaining slots now so the IOT
     // layout is fixed before the first job runs.
     for (std::uint32_t i = 1; i < num_slots; ++i)

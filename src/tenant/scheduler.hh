@@ -271,6 +271,11 @@ class TenantScheduler
     bool allForegroundDone() const;
     /** Fold @p cls into the machine's present-class mask. */
     void notePresentClass(AgentClass cls);
+    /**
+     * Size the IOT for @p arenas arenas and build the SimOS, Machine
+     * and optional Observer (shared by both constructors).
+     */
+    void buildMachine(std::size_t arenas);
 
     CorunOptions opts_;
     std::unique_ptr<os::SimOS> os_;

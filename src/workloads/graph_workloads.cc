@@ -86,6 +86,16 @@ struct SliceStreams
     {}
 };
 
+/** One stream bundle per slice (core), indexed by slice. */
+std::vector<SliceStreams>
+sliceStreams(const RunContext &ctx)
+{
+    std::vector<SliceStreams> ss;
+    for (CoreId c = 0; c < ctx.config.machine.numTiles(); ++c)
+        ss.emplace_back(c);
+    return ss;
+}
+
 /**
  * Issue an indirect request, honouring GraphParams::idealIndirect
  * (Fig. 6's Ind-Ideal: requests issued as if already at the target's
@@ -411,6 +421,132 @@ splitFrontier(const std::vector<VertexId> &frontier, std::uint32_t num_v,
     return work;
 }
 
+/**
+ * The frontier queue of one traversal (§5): spatially distributed
+ * under Aff-Alloc, so that a push's tail bump and slot store both land
+ * in the pushed vertex's bank; one global array behind a single tail
+ * otherwise.
+ */
+class FrontierQueue
+{
+  public:
+    /**
+     * @param align_to per-vertex array the spatial partitions align to
+     * @param slack spatial partition capacity over n / partitions
+     */
+    FrontierQueue(RunContext &ctx, const GraphParams &p,
+                  const void *align_to, std::uint32_t n,
+                  std::uint32_t slack)
+        : ctx_(ctx), n_(n)
+    {
+        if (ctx.affinity() && p.useSpatialQueue) {
+            sq_ = std::make_unique<ds::SpatialQueue>(
+                ctx.allocator, align_to, n, ctx.config.machine.numTiles(),
+                slack);
+            return;
+        }
+        gq_.host = static_cast<VertexId *>(
+            ctx.allocator.allocPlain(std::uint64_t(n) * 4));
+        gq_.sim = ctx.machine.addressSpace().simAddrOf(gq_.host);
+        gtail_.host =
+            static_cast<std::uint64_t *>(ctx.allocator.allocPlain(64));
+        gtail_.sim = ctx.machine.addressSpace().simAddrOf(gtail_.host);
+        // allocPlain memory is uninitialized; an unseeded tail would
+        // index gq_ by heap garbage on the first push.
+        *gtail_.host = 0;
+    }
+
+    /** Push @p v: a tail bump plus a slot store, issued on @p escan. */
+    void
+    push(MigratingStream &escan, VertexId v)
+    {
+        const auto &as = ctx_.machine.addressSpace();
+        if (sq_) {
+            const std::uint32_t part = sq_->partitionOf(v);
+            const std::uint32_t idx = sq_->push(v);
+            ctx_.exec.indirect(escan, as.simAddrOf(sq_->tailPtr(part)), 8,
+                               AccessType::atomic);
+            ctx_.exec.indirect(
+                escan,
+                as.simAddrOf(
+                    sq_->slotPtr(part, std::min(idx, sq_->capacity() - 1))),
+                4, AccessType::write);
+            return;
+        }
+        const std::uint64_t pos = (*gtail_.host)++;
+        gq_[pos % n_] = v;
+        ctx_.exec.indirect(escan, gtail_.sim, 8, AccessType::atomic);
+        ctx_.exec.indirect(escan, gq_.at(pos % n_), 4, AccessType::write);
+    }
+
+    /** Empty the queue for the next iteration. */
+    void
+    clear()
+    {
+        if (sq_)
+            sq_->clear();
+        else
+            *gtail_.host = 0;
+    }
+
+  private:
+    RunContext &ctx_;
+    std::uint32_t n_;
+    std::unique_ptr<ds::SpatialQueue> sq_;
+    SimArr<VertexId> gq_;
+    SimArr<std::uint64_t> gtail_;
+};
+
+/**
+ * @p source, or the highest-degree vertex when @p source has no edges
+ * (GAP picks nonzero sources).
+ */
+VertexId
+pickSource(const Csr &g, VertexId source)
+{
+    if (g.degree(source) != 0)
+        return source;
+    std::uint32_t best = 0;
+    for (VertexId v = 0; v < g.numVertices; ++v) {
+        if (g.degree(v) > best) {
+            best = g.degree(v);
+            source = v;
+        }
+    }
+    return source;
+}
+
+/** Whether the sampled ranks match graph::pageRankReference. */
+bool
+ranksMatch(const SimArr<float> &rank, const Csr &g, int iters)
+{
+    const auto ref = graph::pageRankReference(g, iters);
+    bool valid = true;
+    for (std::uint32_t v = 0; v < g.numVertices; v += 199) {
+        valid &= std::abs(rank[v] - ref[v]) <=
+                 1e-5 + 0.02 * std::abs(ref[v]);
+    }
+    return valid;
+}
+
+/** Distance of a vertex no path has reached yet. */
+constexpr std::uint32_t infDist = ~std::uint32_t(0);
+
+/** Whether every distance matches graph::ssspReference. */
+bool
+distancesMatch(const SimArr<std::uint32_t> &dist, const Csr &g,
+               VertexId source)
+{
+    const auto ref = graph::ssspReference(g, source);
+    bool valid = true;
+    for (std::uint32_t v = 0; v < g.numVertices; ++v) {
+        const std::int64_t got =
+            dist[v] == infDist ? graph::unreachable : std::int64_t(dist[v]);
+        valid &= got == ref[v];
+    }
+    return valid;
+}
+
 } // namespace
 
 // ----------------------------------------------------------- PageRank
@@ -443,9 +579,7 @@ runPageRankPush(RunContext &ctx, const GraphParams &p)
         ctx.machine.preloadL3Range(sim, std::uint64_t(n) * 4);
 
     const float base = (1.0f - damping) / n;
-    std::vector<SliceStreams> ss;
-    for (std::uint32_t c = 0; c < ctx.config.machine.numTiles(); ++c)
-        ss.emplace_back(c);
+    std::vector<SliceStreams> ss = sliceStreams(ctx);
 
     for (int it = 0; it < p.iters; ++it) {
         // Pass 1 (affine): contrib[u] = rank[u] / deg(u).
@@ -478,13 +612,7 @@ runPageRankPush(RunContext &ctx, const GraphParams &p)
                               3.0, "apply");
     }
 
-    const auto ref = graph::pageRankReference(g, p.iters);
-    bool valid = true;
-    for (std::uint32_t v = 0; v < n; v += 199) {
-        valid &= std::abs(rank[v] - ref[v]) <=
-                 1e-5 + 0.02 * std::abs(ref[v]);
-    }
-    return ctx.finish("pr_push", valid);
+    return ctx.finish("pr_push", ranksMatch(rank, g, p.iters));
 }
 
 RunResult
@@ -514,9 +642,7 @@ runPageRankPull(RunContext &ctx, const GraphParams &p)
         ctx.machine.preloadL3Range(sim, std::uint64_t(n) * 4);
 
     const float base = (1.0f - damping) / n;
-    std::vector<SliceStreams> ss;
-    for (std::uint32_t c = 0; c < ctx.config.machine.numTiles(); ++c)
-        ss.emplace_back(c);
+    std::vector<SliceStreams> ss = sliceStreams(ctx);
 
     for (int it = 0; it < p.iters; ++it) {
         for (std::uint32_t u = 0; u < n; ++u)
@@ -542,13 +668,7 @@ runPageRankPull(RunContext &ctx, const GraphParams &p)
                    });
     }
 
-    const auto ref = graph::pageRankReference(g, p.iters);
-    bool valid = true;
-    for (std::uint32_t v = 0; v < n; v += 199) {
-        valid &= std::abs(rank[v] - ref[v]) <=
-                 1e-5 + 0.02 * std::abs(ref[v]);
-    }
-    return ctx.finish("pr_pull", valid);
+    return ctx.finish("pr_pull", ranksMatch(rank, g, p.iters));
 }
 
 // ---------------------------------------------------------------- BFS
@@ -626,27 +746,7 @@ runBfs(RunContext &ctx, const GraphParams &p, BfsStrategy strategy)
     }
     EdgeStore &in_edges = symmetric ? out_edges : in_edges_store;
 
-    // Frontier queues: spatially distributed under Aff-Alloc, global
-    // array + single tail otherwise.
-    std::unique_ptr<ds::SpatialQueue> sq;
-    SimArr<VertexId> gq;
-    SimArr<std::uint64_t> gtail;
-    if (ctx.affinity() && p.useSpatialQueue) {
-        sq = std::make_unique<ds::SpatialQueue>(ctx.allocator,
-                                                parent.host, n, slices,
-                                                1);
-    } else {
-        gq.host = static_cast<VertexId *>(
-            ctx.allocator.allocPlain(std::uint64_t(n) * 4));
-        gq.sim = ctx.machine.addressSpace().simAddrOf(gq.host);
-        gtail.host = static_cast<std::uint64_t *>(
-            ctx.allocator.allocPlain(64));
-        gtail.sim = ctx.machine.addressSpace().simAddrOf(gtail.host);
-        // allocPlain memory is uninitialized; the push phase does a
-        // fetch-and-add on the tail before the epoch-end reset, so an
-        // unseeded tail would index gq by heap garbage.
-        *gtail.host = 0;
-    }
+    FrontierQueue queue(ctx, p, parent.host, n, 1);
 
     out_edges.preload(g);
     if (!symmetric)
@@ -658,23 +758,11 @@ runBfs(RunContext &ctx, const GraphParams &p, BfsStrategy strategy)
     for (std::uint32_t v = 0; v < n; ++v)
         parent[v] = -1;
 
-    VertexId source = p.source;
-    if (g.degree(source) == 0) {
-        // Pick the highest-degree vertex (GAP picks nonzero sources).
-        std::uint32_t best = 0;
-        for (VertexId v = 0; v < n; ++v) {
-            if (g.degree(v) > best) {
-                best = g.degree(v);
-                source = v;
-            }
-        }
-    }
+    const VertexId source = pickSource(g, p.source);
     parent[source] = static_cast<std::int32_t>(source);
     level[source] = 0;
 
-    std::vector<SliceStreams> ss;
-    for (std::uint32_t c = 0; c < slices; ++c)
-        ss.emplace_back(c);
+    std::vector<SliceStreams> ss = sliceStreams(ctx);
 
     BfsResult result;
     std::vector<VertexId> frontier{source};
@@ -708,47 +796,12 @@ runBfs(RunContext &ctx, const GraphParams &p, BfsStrategy strategy)
                                 parent[v] =
                                     static_cast<std::int32_t>(u);
                                 next_frontier.push_back(v);
-                                // Push v: tail bump + store. With the
-                                // spatial queue both land in v's bank.
-                                if (sq) {
-                                    const std::uint32_t part =
-                                        sq->partitionOf(v);
-                                    const std::uint32_t idx =
-                                        sq->push(v);
-                                    ctx.exec.indirect(
-                                        ss[c].escan,
-                                        ctx.machine.addressSpace()
-                                            .simAddrOf(
-                                                sq->tailPtr(part)),
-                                        8, AccessType::atomic);
-                                    ctx.exec.indirect(
-                                        ss[c].escan,
-                                        ctx.machine.addressSpace()
-                                            .simAddrOf(sq->slotPtr(
-                                                part, std::min(
-                                                          idx,
-                                                          sq->capacity() -
-                                                              1))),
-                                        4, AccessType::write);
-                                } else {
-                                    const std::uint64_t pos =
-                                        (*gtail.host)++;
-                                    gq[pos % n] = v;
-                                    ctx.exec.indirect(
-                                        ss[c].escan, gtail.sim, 8,
-                                        AccessType::atomic);
-                                    ctx.exec.indirect(ss[c].escan,
-                                                      gq.at(pos % n), 4,
-                                                      AccessType::write);
-                                }
+                                queue.push(ss[c].escan, v);
                             }
                             return true;
                         });
                 });
-            if (sq)
-                sq->clear();
-            else
-                *gtail.host = 0;
+            queue.clear();
         } else {
             // Build the current-frontier bitmap (affine pass).
             std::fill(in_front.begin(), in_front.end(), 0);
@@ -837,48 +890,22 @@ runSssp(RunContext &ctx, const GraphParams &p)
         SIM_FATAL("workloads", "sssp requires a weighted graph");
     const std::uint32_t n = g.numVertices;
     const std::uint32_t slices = ctx.config.machine.numTiles();
-    constexpr std::uint32_t inf = ~std::uint32_t(0);
 
     auto dist = allocProp<std::uint32_t>(ctx, n, nullptr);
     EdgeStore es;
     es.build(ctx, g, true, p, dist.host);
 
-    std::unique_ptr<ds::SpatialQueue> sq;
-    SimArr<VertexId> gq;
-    SimArr<std::uint64_t> gtail;
-    if (ctx.affinity() && p.useSpatialQueue) {
-        sq = std::make_unique<ds::SpatialQueue>(ctx.allocator, dist.host,
-                                                n, slices, 2);
-    } else {
-        gq.host = static_cast<VertexId *>(
-            ctx.allocator.allocPlain(std::uint64_t(n) * 4));
-        gq.sim = ctx.machine.addressSpace().simAddrOf(gq.host);
-        gtail.host = static_cast<std::uint64_t *>(
-            ctx.allocator.allocPlain(64));
-        gtail.sim = ctx.machine.addressSpace().simAddrOf(gtail.host);
-        *gtail.host = 0; // see runBfs: seed the tail before first use
-    }
+    FrontierQueue queue(ctx, p, dist.host, n, 2);
 
     es.preload(g);
     ctx.machine.preloadL3Range(dist.sim, std::uint64_t(n) * 4);
 
     for (std::uint32_t v = 0; v < n; ++v)
-        dist[v] = inf;
-    VertexId source = p.source;
-    if (g.degree(source) == 0) {
-        std::uint32_t best = 0;
-        for (VertexId v = 0; v < n; ++v) {
-            if (g.degree(v) > best) {
-                best = g.degree(v);
-                source = v;
-            }
-        }
-    }
+        dist[v] = infDist;
+    const VertexId source = pickSource(g, p.source);
     dist[source] = 0;
 
-    std::vector<SliceStreams> ss;
-    for (std::uint32_t c = 0; c < slices; ++c)
-        ss.emplace_back(c);
+    std::vector<SliceStreams> ss = sliceStreams(ctx);
 
     std::vector<VertexId> frontier{source};
     std::vector<std::uint8_t> queued(n, 0);
@@ -905,38 +932,7 @@ runSssp(RunContext &ctx, const GraphParams &p)
                             if (!queued[v]) {
                                 queued[v] = 1;
                                 next_frontier.push_back(v);
-                                if (sq) {
-                                    const std::uint32_t part =
-                                        sq->partitionOf(v);
-                                    const std::uint32_t idx =
-                                        sq->push(v);
-                                    ctx.exec.indirect(
-                                        ss[c].escan,
-                                        ctx.machine.addressSpace()
-                                            .simAddrOf(
-                                                sq->tailPtr(part)),
-                                        8, AccessType::atomic);
-                                    ctx.exec.indirect(
-                                        ss[c].escan,
-                                        ctx.machine.addressSpace()
-                                            .simAddrOf(sq->slotPtr(
-                                                part,
-                                                std::min(
-                                                    idx,
-                                                    sq->capacity() -
-                                                        1))),
-                                        4, AccessType::write);
-                                } else {
-                                    const std::uint64_t pos =
-                                        (*gtail.host)++;
-                                    gq[pos % n] = v;
-                                    ctx.exec.indirect(
-                                        ss[c].escan, gtail.sim, 8,
-                                        AccessType::atomic);
-                                    ctx.exec.indirect(ss[c].escan,
-                                                      gq.at(pos % n), 4,
-                                                      AccessType::write);
-                                }
+                                queue.push(ss[c].escan, v);
                             }
                         }
                         return true;
@@ -944,21 +940,11 @@ runSssp(RunContext &ctx, const GraphParams &p)
             });
         for (VertexId v : next_frontier)
             queued[v] = 0;
-        if (sq)
-            sq->clear();
-        else
-            *gtail.host = 0;
+        queue.clear();
         frontier = std::move(next_frontier);
     }
 
-    const auto ref = graph::ssspReference(g, source);
-    bool valid = true;
-    for (std::uint32_t v = 0; v < n; ++v) {
-        const std::int64_t got =
-            dist[v] == inf ? graph::unreachable : std::int64_t(dist[v]);
-        valid &= got == ref[v];
-    }
-    return ctx.finish("sssp", valid);
+    return ctx.finish("sssp", distancesMatch(dist, g, source));
 }
 
 RunResult
@@ -976,7 +962,6 @@ runSsspPq(RunContext &ctx, const GraphParams &p)
         SIM_FATAL("workloads", "sssp requires a weighted graph");
     const std::uint32_t n = g.numVertices;
     const std::uint32_t slices = ctx.config.machine.numTiles();
-    constexpr std::uint32_t inf = ~std::uint32_t(0);
 
     auto dist = allocProp<std::uint32_t>(ctx, n, nullptr);
     EdgeStore es;
@@ -1001,24 +986,17 @@ runSsspPq(RunContext &ctx, const GraphParams &p)
     ctx.machine.preloadL3Range(dist.sim, std::uint64_t(n) * 4);
 
     for (std::uint32_t v = 0; v < n; ++v)
-        dist[v] = inf;
-    VertexId source = p.source;
-    if (g.degree(source) == 0) {
-        std::uint32_t best = 0;
-        for (VertexId v = 0; v < n; ++v) {
-            if (g.degree(v) > best) {
-                best = g.degree(v);
-                source = v;
-            }
-        }
-    }
+        dist[v] = infDist;
+    const VertexId source = pickSource(g, p.source);
     dist[source] = 0;
 
-    std::vector<SliceStreams> ss;
-    for (std::uint32_t c = 0; c < slices; ++c)
-        ss.emplace_back(c);
+    std::vector<SliceStreams> ss = sliceStreams(ctx);
 
     Rng pop_rng(p.source + 101);
+    // The global baseline heap: min-priority first.
+    const auto later = [](const ds::PqEntry &a, const ds::PqEntry &b) {
+        return a.priority > b.priority;
+    };
     auto push_entry = [&](VertexId v, std::uint32_t prio,
                           std::uint32_t slice) {
         if (spq) {
@@ -1032,10 +1010,7 @@ runSsspPq(RunContext &ctx, const GraphParams &p)
                 8, AccessType::write, /*sequential=*/false);
         } else {
             gheap_entries.push_back(ds::PqEntry{v, prio});
-            std::push_heap(gheap_entries.begin(), gheap_entries.end(),
-                           [](const ds::PqEntry &a, const ds::PqEntry &b) {
-                               return a.priority > b.priority;
-                           });
+            std::push_heap(gheap_entries.begin(), gheap_entries.end(), later);
             ctx.exec.streamStep(ss[slice].qscan,
                                 gheap.at(gheap_entries.size() - 1), 8,
                                 AccessType::write,
@@ -1070,11 +1045,8 @@ runSsspPq(RunContext &ctx, const GraphParams &p)
             } else {
                 got = !gheap_entries.empty();
                 if (got) {
-                    std::pop_heap(
-                        gheap_entries.begin(), gheap_entries.end(),
-                        [](const ds::PqEntry &a, const ds::PqEntry &b) {
-                            return a.priority > b.priority;
-                        });
+                    std::pop_heap(gheap_entries.begin(),
+                                  gheap_entries.end(), later);
                     e = gheap_entries.back();
                     gheap_entries.pop_back();
                     ctx.exec.streamStep(ss[c].qscan, gheap.at(0), 8,
@@ -1104,14 +1076,8 @@ runSsspPq(RunContext &ctx, const GraphParams &p)
         drained = spq ? spq->empty() : gheap_entries.empty();
     }
 
-    const auto ref = graph::ssspReference(g, source);
-    bool valid = processed < guard;
-    for (std::uint32_t v = 0; v < n; ++v) {
-        const std::int64_t got =
-            dist[v] == inf ? graph::unreachable : std::int64_t(dist[v]);
-        valid &= got == ref[v];
-    }
-    return ctx.finish("sssp_pq", valid);
+    const bool valid = distancesMatch(dist, g, source);
+    return ctx.finish("sssp_pq", valid && processed < guard);
 }
 
 } // namespace affalloc::workloads

@@ -1,30 +1,34 @@
 /**
  * @file
- * Tests for the host-side performance fast paths: the software TLB in
- * front of the page table, the sorted/MRU Interleave Override Table,
- * the AddressSpace host-granule index, the parallel sweep runner, and the
- * digest-equivalence guarantee that every fast path produces results
- * bit-identical to the reference (slow) paths.
+ * Tests for the host-side performance fast paths and their oracles:
+ * the software TLB in front of the page table and the sorted/MRU
+ * Interleave Override Table (each against a plain test-local model),
+ * the NoC route table and large-mesh coordinate walk (against a
+ * test-local X-Y walk), the AddressSpace host-granule index, and the
+ * parallel sweep runner.
  */
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <cstdlib>
+#include <random>
 #include <stdexcept>
+#include <string>
+#include <thread>
+#include <unordered_map>
 #include <vector>
 
-#include "graph/generators.hh"
 #include "harness/sweep.hh"
 #include "mem/address_space.hh"
 #include "mem/iot.hh"
 #include "mem/page_table.hh"
+#include "noc/network.hh"
+#include "sim/fault.hh"
 #include "sim/log.hh"
-#include "workloads/affine_workloads.hh"
-#include "workloads/graph_workloads.hh"
 
 using namespace affalloc;
-using namespace affalloc::workloads;
 
 // ------------------------------------------------------------------
 // Software TLB (mem::PageTable)
@@ -94,13 +98,98 @@ TEST(SoftTlb, FlushDropsEverything)
         EXPECT_FALSE(pt.tlbPeek(v).has_value());
 }
 
-TEST(SoftTlb, ReferenceModeBypassesCache)
+TEST(SoftTlb, RandomOpsMatchMapOracle)
 {
+    // 16 TLB slots, each shared by four virtual pages 1024 apart plus
+    // two far-away pages, so fills keep evicting one another.
+    std::mt19937_64 rng(0x7eb);
+    const auto below = [&](std::uint64_t n) { return rng() % n; };
+    std::vector<Addr> vpages;
+    for (Addr slot = 0; slot < 16; ++slot) {
+        for (Addr alias = 0; alias < 4; ++alias)
+            vpages.push_back(slot + alias * mem::PageTable::tlbEntries);
+        for (Addr far : {Addr(1) << 30, Addr(0x3f5a) << 20})
+            vpages.push_back(far + slot);
+    }
+
     mem::PageTable pt;
-    pt.setReferenceMode(true);
-    pt.map(4, 11);
-    EXPECT_EQ(pt.translate(mem::pageBase(4) + 1), mem::pageBase(11) + 1);
-    EXPECT_FALSE(pt.tlbPeek(4).has_value());
+    std::unordered_map<Addr, Addr> oracle;
+    Addr next_ppage = 1;
+    std::size_t tlb_hits = 0;
+    const auto expectTlbAgrees = [&](Addr v) {
+        const auto cached = pt.tlbPeek(v);
+        if (!cached.has_value())
+            return;
+        const auto it = oracle.find(v);
+        ASSERT_TRUE(it != oracle.end()) << "stale TLB entry for vpage " << v;
+        EXPECT_EQ(*cached, it->second) << "vpage " << v;
+    };
+
+    Addr v = vpages[0];
+    for (int op = 0; op < 20000; ++op) {
+        // Page locality: a third of the operations reuse the last page.
+        if (below(3) != 0)
+            v = vpages[below(vpages.size())];
+        const auto it = oracle.find(v);
+        const bool mapped = it != oracle.end();
+        const Addr offset = below(mem::pageSize);
+        const std::uint64_t kind = below(100);
+        SCOPED_TRACE("op " + std::to_string(op) + " vpage " +
+                     std::to_string(v));
+        if (kind < 18) {
+            if (mapped) {
+                EXPECT_THROW(pt.map(v, next_ppage), FatalError);
+            } else {
+                pt.map(v, next_ppage);
+                oracle[v] = next_ppage;
+            }
+            ++next_ppage;
+        } else if (kind < 30) {
+            if (mapped) {
+                pt.unmap(v);
+                oracle.erase(it);
+            } else {
+                EXPECT_THROW(pt.unmap(v), FatalError);
+            }
+        } else if (kind < 38) {
+            // Remap: unmap and map again elsewhere.
+            if (mapped) {
+                pt.unmap(v);
+                pt.map(v, next_ppage);
+                it->second = next_ppage++;
+            }
+        } else if (kind < 70) {
+            tlb_hits += pt.tlbPeek(v).has_value();
+            if (mapped) {
+                EXPECT_EQ(pt.translate(mem::pageBase(v) + offset),
+                          mem::pageBase(it->second) + offset);
+            } else {
+                EXPECT_THROW(pt.translate(mem::pageBase(v) + offset),
+                             FatalError);
+            }
+        } else if (kind < 92) {
+            tlb_hits += pt.tlbPeek(v).has_value();
+            const auto got = pt.tryTranslate(mem::pageBase(v) + offset);
+            ASSERT_EQ(got.has_value(), mapped);
+            if (mapped) {
+                EXPECT_EQ(*got, mem::pageBase(it->second) + offset);
+            }
+        } else if (kind < 98) {
+            EXPECT_EQ(pt.isMapped(v), mapped);
+        } else {
+            pt.flushTlb();
+        }
+        ASSERT_EQ(pt.size(), oracle.size());
+        expectTlbAgrees(v);
+        if (op % 1000 == 999) {
+            for (const Addr w : vpages) {
+                expectTlbAgrees(w);
+                EXPECT_EQ(pt.isMapped(w), oracle.count(w) != 0);
+            }
+        }
+    }
+    // The mix must exercise the cached path, not only the misses.
+    EXPECT_GT(tlb_hits, 1000u);
 }
 
 // ------------------------------------------------------------------
@@ -156,24 +245,92 @@ TEST(IotFastPath, GrowChecksNextNeighbour)
     EXPECT_EQ(iot.lookup(0x3fff)->start, 0x0000u);
 }
 
-TEST(IotFastPath, ReferenceModeAgrees)
+TEST(IotFastPath, RandomOpsMatchLinearScan)
 {
-    mem::InterleaveOverrideTable fast(16);
-    mem::InterleaveOverrideTable ref(16);
-    ref.setReferenceMode(true);
-    for (Addr base : {Addr(0x8000), Addr(0x2000), Addr(0x5000)}) {
-        fast.insert(base, base + 0x1000, 64);
-        ref.insert(base, base + 0x1000, 64);
-    }
-    for (Addr a = 0; a < 0xa000; a += 0x380) {
-        const auto *f = fast.lookup(a);
-        const auto *r = ref.lookup(a);
-        ASSERT_EQ(f == nullptr, r == nullptr) << "addr " << a;
-        if (f != nullptr) {
-            EXPECT_EQ(f->start, r->start);
-            EXPECT_EQ(f->bankOf(a, 64), r->bankOf(a, 64));
+    std::mt19937_64 rng(0x107);
+    const auto below = [&](std::uint64_t n) { return rng() % n; };
+    constexpr Addr window = Addr(1) << 22;
+    std::size_t mru_repeats = 0;
+
+    for (int round = 0; round < 40; ++round) {
+        SCOPED_TRACE("round " + std::to_string(round));
+        mem::InterleaveOverrideTable iot(16);
+        std::vector<mem::IotEntry> oracle; // in insert order
+        const auto overlapsOther = [&](Addr start, Addr end,
+                                       std::size_t self) {
+            for (std::size_t i = 0; i < oracle.size(); ++i)
+                if (i != self && start < oracle[i].end &&
+                    oracle[i].start < end)
+                    return true;
+            return false;
+        };
+        // The reference lookup: a linear scan over every entry.
+        const auto scan = [&](Addr paddr) -> const mem::IotEntry * {
+            for (std::size_t i = 0; i < iot.size(); ++i)
+                if (iot.entry(i).contains(paddr))
+                    return &iot.entry(i);
+            return nullptr;
+        };
+        Addr last = 0;
+
+        for (int op = 0; op < 600; ++op) {
+            const std::uint64_t kind = below(100);
+            if (kind < 6) {
+                const Addr start = below(window / 64) * 64;
+                const Addr end = start + 64 * (1 + below(1024));
+                const std::uint32_t intrlv = 64u << below(6);
+                if (oracle.size() >= iot.capacity() ||
+                    overlapsOther(start, end, oracle.size())) {
+                    EXPECT_THROW(iot.insert(start, end, intrlv), FatalError);
+                } else {
+                    EXPECT_EQ(iot.insert(start, end, intrlv), oracle.size());
+                    oracle.push_back(mem::IotEntry{start, end, intrlv});
+                }
+            } else if (kind < 12 && !oracle.empty()) {
+                const std::size_t idx = below(oracle.size());
+                const Addr new_end = oracle[idx].end + 64 * below(256);
+                if (overlapsOther(oracle[idx].start, new_end, idx)) {
+                    EXPECT_THROW(iot.grow(idx, new_end), FatalError);
+                } else {
+                    iot.grow(idx, new_end);
+                    oracle[idx].end = new_end;
+                }
+            } else {
+                // Lookups: near the last address (MRU hits), at the
+                // edges of a random entry, or anywhere in the window.
+                Addr paddr;
+                const std::uint64_t where = below(4);
+                if (where == 0 || oracle.empty()) {
+                    paddr = below(window + 0x10000);
+                } else if (where == 1) {
+                    paddr = last + below(512) - 256;
+                } else {
+                    const mem::IotEntry &e = oracle[below(oracle.size())];
+                    const Addr edges[] = {e.start - 1, e.start, e.end - 1,
+                                          e.end, e.start + below(e.end -
+                                                                 e.start)};
+                    paddr = edges[below(5)];
+                }
+                const mem::IotEntry *want = scan(paddr);
+                mru_repeats += want != nullptr && want->contains(last);
+                const mem::IotEntry *got = iot.lookup(paddr);
+                ASSERT_EQ(got, want) << "paddr " << paddr;
+                if (got != nullptr) {
+                    EXPECT_EQ(got->bankOf(paddr, 64),
+                              want->bankOf(paddr, 64));
+                }
+                last = paddr;
+            }
+            ASSERT_EQ(iot.size(), oracle.size());
+            for (std::size_t i = 0; i < oracle.size(); ++i) {
+                EXPECT_EQ(iot.entry(i).start, oracle[i].start);
+                EXPECT_EQ(iot.entry(i).end, oracle[i].end);
+                EXPECT_EQ(iot.entry(i).intrlv, oracle[i].intrlv);
+            }
         }
     }
+    // Consecutive lookups into one entry are what the MRU slot serves.
+    EXPECT_GT(mru_repeats, 1000u);
 }
 
 // ------------------------------------------------------------------
@@ -255,6 +412,29 @@ TEST(SweepRunner, ParseJobs)
         EXPECT_EQ(harness::parseJobs(2, argv2), 2u);
         ::unsetenv("AFFALLOC_JOBS");
     }
+    // Garbage, negative and absurd counts are rejected, not clamped.
+    for (const char *bad : {"foo", "", "3x", "-2", "1025"}) {
+        SCOPED_TRACE(bad);
+        char flag[] = "--jobs";
+        std::string val = bad;
+        char *argv[] = {prog, flag, val.data()};
+        EXPECT_THROW(harness::parseJobs(3, argv), FatalError);
+        std::string eq = std::string("--jobs=") + bad;
+        char *argv2[] = {prog, eq.data()};
+        EXPECT_THROW(harness::parseJobs(2, argv2), FatalError);
+        if (*bad != '\0') {
+            ::setenv("AFFALLOC_JOBS", bad, 1);
+            char *argv3[] = {prog};
+            EXPECT_THROW(harness::parseJobs(1, argv3), FatalError);
+            ::unsetenv("AFFALLOC_JOBS");
+        }
+    }
+    {
+        char flag[] = "--jobs";
+        char val[] = "1024";
+        char *argv[] = {prog, flag, val};
+        EXPECT_EQ(harness::parseJobs(3, argv), 1024u);
+    }
 }
 
 TEST(SweepRunner, ResultsInSweepOrderAtAnyJobCount)
@@ -280,6 +460,29 @@ TEST(SweepRunner, AllTasksRunExactlyOnce)
     EXPECT_EQ(calls.load(), 50);
 }
 
+TEST(SweepRunner, NestedSweepRunsOnCallingThread)
+{
+    // The outer sweep holds the shared pool, so each inner sweep runs
+    // its tasks inline on the worker that called it.
+    std::atomic<int> calls{0};
+    std::vector<std::function<void()>> outer;
+    for (int i = 0; i < 4; ++i) {
+        outer.push_back([&calls] {
+            const std::thread::id caller = std::this_thread::get_id();
+            std::vector<std::function<void()>> inner;
+            for (int j = 0; j < 5; ++j) {
+                inner.push_back([&calls, caller] {
+                    EXPECT_EQ(std::this_thread::get_id(), caller);
+                    calls.fetch_add(1);
+                });
+            }
+            harness::runSweepTasks(4, std::move(inner));
+        });
+    }
+    harness::runSweepTasks(2, std::move(outer));
+    EXPECT_EQ(calls.load(), 20);
+}
+
 TEST(SweepRunner, LowestIndexedExceptionWins)
 {
     std::vector<std::function<void()>> tasks;
@@ -300,59 +503,146 @@ TEST(SweepRunner, LowestIndexedExceptionWins)
 }
 
 // ------------------------------------------------------------------
-// Digest equivalence: fast paths vs reference (slow) paths
+// NoC routes: route table (up to 256 tiles) and coordinate walk
+// (beyond) against a test-local X-Y walk
 // ------------------------------------------------------------------
 
 namespace
 {
 
-RunConfig
-withReferencePaths(RunConfig rc)
+/** Per-link flits and per-class counters a send sequence should add. */
+struct XyOracle
 {
-    rc.machine.referencePaths = true;
-    return rc;
-}
+    const noc::Mesh &mesh;
+    const sim::FaultPlan &plan;
+    std::vector<std::uint64_t> lifetime, epoch;
+    std::uint64_t degraded = 0;
+    std::uint64_t hops[numTrafficClasses] = {};
+    std::uint64_t flitHops[numTrafficClasses] = {};
+
+    XyOracle(const noc::Mesh &m, const sim::FaultPlan &p)
+        : mesh(m), plan(p), lifetime(m.numLinks() + 2 * m.numTiles()),
+          epoch(lifetime.size())
+    {
+    }
+
+    void
+    add(std::size_t index, std::uint64_t flits)
+    {
+        lifetime[index] += flits;
+        epoch[index] += flits;
+    }
+
+    /** X first, then Y; each hop charges the link leaving the tile. */
+    std::uint32_t
+    send(TileId src, TileId dst, std::uint32_t flits, TrafficClass tc)
+    {
+        std::uint32_t x = src % mesh.xDim(), y = src / mesh.xDim();
+        const std::uint32_t tx = dst % mesh.xDim(), ty = dst / mesh.xDim();
+        std::uint32_t hop_count = 0;
+        const auto hop = [&](noc::Direction dir) {
+            const noc::LinkId link =
+                (y * mesh.xDim() + x) * 4 + static_cast<noc::LinkId>(dir);
+            const std::uint32_t mult = plan.linkFlitMultiplier(link);
+            add(link, std::uint64_t(flits) * mult);
+            degraded += std::uint64_t(flits) * (mult - 1);
+            ++hop_count;
+        };
+        for (; x < tx; ++x)
+            hop(noc::Direction::east);
+        for (; x > tx; --x)
+            hop(noc::Direction::west);
+        for (; y < ty; ++y)
+            hop(noc::Direction::south);
+        for (; y > ty; --y)
+            hop(noc::Direction::north);
+        if (hop_count != 0) {
+            add(mesh.numLinks() + 2 * src, flits);
+            add(mesh.numLinks() + 2 * dst + 1, flits);
+        }
+        hops[int(tc)] += hop_count;
+        flitHops[int(tc)] += std::uint64_t(flits) * hop_count;
+        return hop_count;
+    }
+};
 
 void
-expectIdentical(const RunResult &fast, const RunResult &ref)
+randomSendsMatchXyWalk(std::uint32_t mesh_x, std::uint32_t mesh_y)
 {
-    EXPECT_EQ(fast.digest(), ref.digest());
-    EXPECT_EQ(fast.cycles(), ref.cycles());
-    EXPECT_EQ(fast.hops(), ref.hops());
-    EXPECT_EQ(fast.placementDigest, ref.placementDigest);
-    EXPECT_EQ(fast.valid, ref.valid);
+    SCOPED_TRACE(std::to_string(mesh_x) + "x" + std::to_string(mesh_y));
+    sim::MachineConfig cfg;
+    cfg.meshX = mesh_x;
+    cfg.meshY = mesh_y;
+    sim::Stats stats;
+    noc::Network net(cfg, stats);
+    sim::FaultConfig faults;
+    faults.degradedLinks = 6;
+    sim::FaultPlan plan(faults, mesh_x, mesh_y);
+    net.setFaultPlan(&plan);
+    const noc::Mesh &mesh = net.mesh();
+    const std::uint32_t nt = mesh.numTiles();
+    XyOracle oracle(mesh, plan);
+
+    std::mt19937_64 rng(mesh_x * 1000 + mesh_y);
+    const auto below = [&](std::uint64_t n) { return rng() % n; };
+    noc::NetDelta delta;
+    for (int batch = 0; batch < 120; ++batch) {
+        SCOPED_TRACE("batch " + std::to_string(batch));
+        // Half the batches charge a replay delta folded in afterwards.
+        const bool via_delta = batch % 2 == 1;
+        delta.reset(net.numLinkEntries());
+        if (batch % 10 == 9) {
+            // Degrade one more link mid-run, as fault injection does.
+            plan.degradeLink(noc::Mesh::linkOf(below(nt),
+                                               noc::Direction(below(4))),
+                             2 + below(4));
+        }
+        for (int i = 0; i < 50; ++i) {
+            const TileId src = below(nt);
+            const TileId dst = below(8) == 0 ? src : TileId(below(nt));
+            const std::uint32_t bytes = below(200);
+            const auto tc = TrafficClass(below(numTrafficClasses));
+            const std::uint32_t hop_count =
+                oracle.send(src, dst, net.flitsFor(bytes), tc);
+            const Cycles lat = via_delta ? net.send(src, dst, bytes, tc, delta)
+                                         : net.send(src, dst, bytes, tc);
+            ASSERT_EQ(lat, Cycles(hop_count) * cfg.hopLatency +
+                               net.flitsFor(bytes) - 1);
+        }
+        if (via_delta) {
+            net.mergeDelta(delta);
+            net.refreshEpochMax();
+        }
+        ASSERT_EQ(net.lifetimeLinkFlits(), oracle.lifetime);
+        EXPECT_EQ(stats.degradedLinkFlits, oracle.degraded);
+        for (int c = 0; c < numTrafficClasses; ++c) {
+            EXPECT_EQ(stats.hops[c], oracle.hops[c]) << "class " << c;
+            EXPECT_EQ(stats.flitHops[c], oracle.flitHops[c]) << "class " << c;
+        }
+        std::uint64_t total = 0, busiest = 0;
+        for (const std::uint64_t f : oracle.epoch) {
+            total += f;
+            busiest = std::max(busiest, f);
+        }
+        EXPECT_EQ(net.totalLinkFlits(), total);
+        EXPECT_EQ(net.maxLinkFlits(), busiest);
+        if (batch % 7 == 6) {
+            net.resetEpoch();
+            std::fill(oracle.epoch.begin(), oracle.epoch.end(), 0);
+        }
+    }
+    EXPECT_GT(oracle.degraded, 0u);
 }
 
 } // namespace
 
-TEST(DigestEquivalence, VecAddAllModes)
+TEST(NetworkRoutes, RouteTableMatchesXyWalk)
 {
-    VecAddParams p;
-    p.n = 30'000;
-    for (ExecMode m :
-         {ExecMode::inCore, ExecMode::nearL3, ExecMode::affAlloc}) {
-        const RunConfig rc = RunConfig::forMode(m);
-        const RunResult fast = runVecAdd(rc, p);
-        const RunResult ref = runVecAdd(withReferencePaths(rc), p);
-        expectIdentical(fast, ref);
-    }
+    randomSendsMatchXyWalk(8, 8);
 }
 
-TEST(DigestEquivalence, GraphWorkloads)
+TEST(NetworkRoutes, CoordinateWalkMatchesXyWalk)
 {
-    graph::KroneckerParams kp;
-    kp.scale = 10;
-    kp.edgeFactor = 8;
-    const auto g = graph::kronecker(kp);
-    GraphParams p;
-    p.graph = &g;
-    p.iters = 2;
-
-    const RunConfig rc = RunConfig::forMode(ExecMode::affAlloc);
-    expectIdentical(runPageRankPush(rc, p),
-                    runPageRankPush(withReferencePaths(rc), p));
-    expectIdentical(runBfs(rc, p, BfsStrategy::gapSwitch).run,
-                    runBfs(withReferencePaths(rc), p,
-                           BfsStrategy::gapSwitch)
-                        .run);
+    // 272 tiles: above the route table's 256-tile limit.
+    randomSendsMatchXyWalk(17, 16);
 }

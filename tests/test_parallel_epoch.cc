@@ -193,7 +193,6 @@ struct OracleScenario
     const char *name;
     std::uint32_t offlineBanks = 0;
     std::uint32_t degradedLinks = 0;
-    bool referencePaths = false;
     /** Kill a bank / degrade a link between epochs now and then. */
     bool midRunFaults = false;
 };
@@ -222,7 +221,6 @@ runPrimitiveMix(const OracleScenario &sc, std::uint32_t sim_threads,
 {
     sim::MachineConfig cfg;
     cfg.simThreads = sim_threads;
-    cfg.referencePaths = sc.referencePaths;
     cfg.faults.offlineBanks = sc.offlineBanks;
     cfg.faults.degradedLinks = sc.degradedLinks;
     cfg.l1SizeBytes = 2 * 1024;
@@ -367,10 +365,9 @@ TEST(ParallelEpochOracle, RandomPrimitiveMixMatchesSerial)
 {
     const OracleScenario scenarios[] = {
         {"healthy"},
-        {"reference-paths", 0, 0, true},
-        {"offline-banks+degraded-links", 3, 6, false},
-        {"faults+reference-paths", 2, 4, true, true},
-        {"mid-run-faults", 0, 0, false, true},
+        {"offline-banks+degraded-links", 3, 6},
+        {"faults+mid-run-faults", 2, 4, true},
+        {"mid-run-faults", 0, 0, true},
     };
     for (const OracleScenario &sc : scenarios) {
         for (const std::uint64_t seed : {1ull, 0x5eedull}) {

@@ -99,7 +99,7 @@ struct Options
     bool noReaffinity = false;
     // Chaos fuzzing (the chaos command).
     std::uint32_t campaigns = 8;
-    unsigned jobs = 0; // 0: AFFALLOC_JOBS env, else 1
+    unsigned jobs = 1; // --jobs or AFFALLOC_JOBS (harness::parseJobs)
     std::string bundleDir;
     std::string plant;
     std::string replayPath;
@@ -279,16 +279,16 @@ parse(int argc, char **argv)
                           : v == "block2" ? sim::BankNumbering::block2
                                           : sim::BankNumbering::rowMajor;
         } else if (a == "--scale") {
-            o.scale = std::uint32_t(std::atoi(next("--scale").c_str()));
+            o.scale = std::uint32_t(parseCount("--scale", next("--scale"), 30));
         } else if (a == "--iters") {
-            o.iters = std::atoi(next("--iters").c_str());
+            o.iters = int(parseCount("--iters", next("--iters"), 1000));
         } else if (a == "--intrlv") {
             o.intrlv = std::strtoull(next("--intrlv").c_str(), nullptr, 0);
         } else if (a == "--bytes") {
             o.bytes = std::strtoull(next("--bytes").c_str(), nullptr, 0);
         } else if (a == "--start-bank") {
-            o.startBank =
-                BankId(std::atoi(next("--start-bank").c_str()));
+            o.startBank = BankId(
+                parseCount("--start-bank", next("--start-bank"), 4095));
         } else if (a == "--csv") {
             o.csv = next("--csv");
         } else if (a == "--fault-seed") {
@@ -296,7 +296,7 @@ parse(int argc, char **argv)
                 std::strtoull(next("--fault-seed").c_str(), nullptr, 0);
         } else if (a == "--offline-banks") {
             o.offlineBanks = std::uint32_t(
-                std::atoi(next("--offline-banks").c_str()));
+                parseCount("--offline-banks", next("--offline-banks"), 4096));
         } else if (a == "--offload-reject-rate") {
             o.offloadRejectRate =
                 std::atof(next("--offload-reject-rate").c_str());
@@ -327,8 +327,8 @@ parse(int argc, char **argv)
         } else if (a == "--sched") {
             o.sched = tenant::parseSchedPolicy(next("--sched"));
         } else if (a == "--quantum") {
-            o.quantum =
-                std::uint32_t(std::atoi(next("--quantum").c_str()));
+            o.quantum = std::uint32_t(
+                parseCount("--quantum", next("--quantum"), 1'000'000));
         } else if (a == "--quick") {
             o.quick = true;
         } else if (a == "--no-solo") {
@@ -344,17 +344,18 @@ parse(int argc, char **argv)
         } else if (a == "--mix") {
             o.mix = next("--mix");
         } else if (a == "--requests") {
-            o.requests =
-                std::uint32_t(std::atoi(next("--requests").c_str()));
+            o.requests = std::uint32_t(
+                parseCount("--requests", next("--requests"), 1'000'000));
         } else if (a == "--rate") {
             o.rate = std::atof(next("--rate").c_str());
         } else if (a == "--burstiness") {
             o.burstiness = std::atof(next("--burstiness").c_str());
         } else if (a == "--slots") {
-            o.slots = std::uint32_t(std::atoi(next("--slots").c_str()));
+            o.slots =
+                std::uint32_t(parseCount("--slots", next("--slots"), 4096));
         } else if (a == "--queue") {
-            o.queueCap =
-                std::uint32_t(std::atoi(next("--queue").c_str()));
+            o.queueCap = std::uint32_t(
+                parseCount("--queue", next("--queue"), 1'000'000));
         } else if (a == "--max-cycles") {
             o.serveMaxCycles =
                 std::strtoull(next("--max-cycles").c_str(), nullptr, 0);
@@ -369,12 +370,9 @@ parse(int argc, char **argv)
             o.campaigns = std::uint32_t(parseCount(
                 "--campaigns", next("--campaigns"), 100'000));
         } else if (a == "--jobs") {
-            o.jobs = unsigned(
-                parseCount("--jobs", next("--jobs"), 1024));
-            if (o.jobs == 0) {
-                std::fprintf(stderr, "--jobs needs >= 1 worker\n");
-                usage();
-            }
+            // Validated by harness::parseJobs in main(); consume the
+            // value here.
+            (void)next("--jobs");
         } else if (a == "--bundle-dir") {
             o.bundleDir = next("--bundle-dir");
         } else if (a == "--replay") {
@@ -826,12 +824,6 @@ cmdChaos(const Options &o)
             f.seed = o.serveSeed;
         f.campaigns = o.campaigns;
         f.jobs = o.jobs;
-        if (f.jobs == 0) {
-            if (const char *env = std::getenv("AFFALLOC_JOBS"))
-                f.jobs = unsigned(std::strtoul(env, nullptr, 10));
-            if (f.jobs == 0)
-                f.jobs = 1;
-        }
         f.plantSpareKeying = o.plant == "spare-keying";
         if (o.simcheckWatchdogSet)
             f.watchdogStallEpochs = o.simcheckWatchdog;
@@ -889,17 +881,20 @@ main(int argc, char **argv)
             printVersion();
     }
     // Install the process-wide sim-threads default before any
-    // MachineConfig is constructed, and open --prof-out up front;
-    // invalid values/paths are clean CLI errors, not backtraces (or
-    // worse, harvest-time failures after a long run).
+    // MachineConfig is constructed, open --prof-out up front and read
+    // --jobs; invalid values/paths are clean CLI errors, not backtraces
+    // (or worse, harvest-time failures after a long run).
+    unsigned jobs = 1;
     try {
         harness::applySimThreads(argc, argv);
         harness::applyProfFlags(argc, argv);
+        jobs = harness::parseJobs(argc, argv);
     } catch (const FatalError &e) {
         std::fprintf(stderr, "%s\n", e.what());
         return 2;
     }
-    const Options o = parse(argc, argv);
+    Options o = parse(argc, argv);
+    o.jobs = jobs;
     if (o.command == "topo")
         return cmdTopo(o);
     if (o.command == "layout")

@@ -192,6 +192,11 @@ TABLE = [
         f"{CLI} corun --tenants=hotspot --quick {bad}"
         for bad in ("--host-agents 0", "--io-streams junk",
                     "--llc-policy way:0", "--class-bw part:1,2")]),
+    # Count flags take whole numbers only: no sign, no suffix.
+    Row("cli-bad-counts", "rejects", stderr="expected an integer|is not a number",
+        cmds=[f"{CLI} serve --quick --requests -1",
+              f"{CLI} run bfs --scale 10x",
+              f"{CLI} chaos --campaigns 1 --quick --jobs foo"]),
     # Chaos: only the header's "jobs N" may differ between job counts;
     # the planted defect is found, shrunk, bundled and replayed.
     Row("chaos-jobs", "same", key="body",
