@@ -44,10 +44,7 @@ struct Entry
 int
 main(int argc, char **argv)
 {
-    const bool quick = harness::quickMode(argc, argv);
-    const unsigned jobs = harness::parseJobs(argc, argv);
-    harness::applySimThreads(argc, argv);
-    harness::applyProfFlags(argc, argv);
+    const auto [quick, jobs] = harness::parseBenchFlags(argc, argv);
     simcheckOpts = harness::BenchSimCheck::parse(argc, argv);
     obsOpts = harness::BenchObs::parse(argc, argv);
     sim::MachineConfig cfg;

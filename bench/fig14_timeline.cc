@@ -23,10 +23,7 @@ using namespace affalloc::workloads;
 int
 main(int argc, char **argv)
 {
-    const bool quick = harness::quickMode(argc, argv);
-    const unsigned jobs = harness::parseJobs(argc, argv);
-    harness::applySimThreads(argc, argv);
-    harness::applyProfFlags(argc, argv);
+    const auto [quick, jobs] = harness::parseBenchFlags(argc, argv);
     sim::MachineConfig cfg;
     harness::printMachineBanner(
         cfg, "Fig. 14 - atomic stream distribution in bfs_push");

@@ -19,12 +19,9 @@ using namespace affalloc::workloads;
 int
 main(int argc, char **argv)
 {
-    const bool quick = harness::quickMode(argc, argv);
     // A single run: --jobs is accepted for harness uniformity (the
     // sweep degenerates to inline execution).
-    const unsigned jobs = harness::parseJobs(argc, argv);
-    harness::applySimThreads(argc, argv);
-    harness::applyProfFlags(argc, argv);
+    const auto [quick, jobs] = harness::parseBenchFlags(argc, argv);
     const harness::BenchObs obs = harness::BenchObs::parse(argc, argv);
     sim::MachineConfig cfg;
     harness::printMachineBanner(cfg,

@@ -67,10 +67,7 @@ bankKillCampaign()
 int
 main(int argc, char **argv)
 {
-    const bool quick = harness::quickMode(argc, argv);
-    const unsigned jobs = harness::parseJobs(argc, argv);
-    harness::applySimThreads(argc, argv);
-    harness::applyProfFlags(argc, argv);
+    const auto [quick, jobs] = harness::parseBenchFlags(argc, argv);
     const harness::BenchSimCheck simcheckOpts =
         harness::BenchSimCheck::parse(argc, argv);
     const harness::BenchObs obsOpts = harness::BenchObs::parse(argc, argv);

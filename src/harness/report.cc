@@ -5,6 +5,7 @@
 #include <cstdlib>
 #include <cstring>
 
+#include "harness/sweep.hh"
 #include "harness/trace.hh"
 #include "obs/heatmap.hh"
 #include "sim/log.hh"
@@ -321,34 +322,18 @@ BenchCorun
 BenchCorun::parse(int argc, char **argv)
 {
     BenchCorun co;
-    for (int i = 1; i < argc; ++i) {
-        const std::string a = argv[i];
-        // Accept both --flag=value and --flag value.
-        const auto value = [&](const char *flag) -> std::string {
-            const std::size_t n = std::strlen(flag);
-            if (a.size() > n && a[n] == '=')
-                return a.substr(n + 1);
-            if (i + 1 < argc)
-                return argv[++i];
-            SIM_FATAL("harness", "missing value for %s", flag);
-            return {};
-        };
-        if (a.rfind("--sched", 0) == 0)
-            co.sched = value("--sched");
-        else if (a.rfind("--quantum", 0) == 0) {
-            const std::string v = value("--quantum");
-            char *end = nullptr;
-            const unsigned long q = std::strtoul(v.c_str(), &end, 10);
-            if (v.empty() || *end != '\0' || q == 0)
-                SIM_FATAL("harness",
-                          "--quantum=%s: expected a positive epoch count",
-                          v.c_str());
-            co.quantumEpochs = static_cast<std::uint32_t>(q);
-        } else if (a.rfind("--qos-csv", 0) == 0)
-            co.qosPrefix = value("--qos-csv");
-        else if (a == "--csv" || a.rfind("--csv=", 0) == 0)
-            co.comparisonCsv = value("--csv");
+    if (const char *v = flagValue(argc, argv, "--sched"))
+        co.sched = v;
+    if (const char *v = flagValue(argc, argv, "--quantum")) {
+        co.quantumEpochs = static_cast<std::uint32_t>(
+            parseCount("--quantum", v, 1'000'000));
+        if (co.quantumEpochs == 0)
+            SIM_FATAL("harness", "--quantum=0: need a positive epoch count");
     }
+    if (const char *v = flagValue(argc, argv, "--qos-csv"))
+        co.qosPrefix = v;
+    if (const char *v = flagValue(argc, argv, "--csv"))
+        co.comparisonCsv = v;
     return co;
 }
 

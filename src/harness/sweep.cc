@@ -9,6 +9,7 @@
 #include <string>
 #include <thread>
 
+#include "harness/report.hh"
 #include "sim/config.hh"
 #include "sim/log.hh"
 #include "sim/prof.hh"
@@ -17,20 +18,33 @@
 namespace affalloc::harness
 {
 
-namespace
+std::uint64_t
+parseCount(const char *origin, const std::string &text, std::uint64_t max)
 {
+    bool ok = !text.empty();
+    for (const char c : text)
+        ok = ok && c >= '0' && c <= '9';
+    std::uint64_t n = 0;
+    if (ok) {
+        errno = 0;
+        n = std::strtoull(text.c_str(), nullptr, 10);
+        ok = errno == 0 && n <= max;
+    }
+    if (!ok) {
+        SIM_FATAL("harness", "%s=%s: expected an integer in [0, %llu]",
+                  origin, text.c_str(), static_cast<unsigned long long>(max));
+    }
+    return n;
+}
 
-/**
- * The value of the first `FLAG V` or `FLAG=V` in argv, else the
- * environment variable @p env when non-empty, else nullptr. @p origin
- * is set to whichever of @p flag and @p env supplied it.
- */
 const char *
-flagOrEnv(int argc, char **argv, const char *flag, const char *env,
-          const char *&origin)
+flagValue(int argc, char **argv, const char *flag, const char *env,
+          const char **origin)
 {
     const std::size_t len = std::strlen(flag);
-    origin = flag;
+    const char *unused = nullptr;
+    const char *&from = origin ? *origin : unused;
+    from = flag;
     for (int i = 1; i < argc; ++i) {
         if (std::strcmp(argv[i], flag) == 0) {
             if (i + 1 >= argc)
@@ -40,24 +54,16 @@ flagOrEnv(int argc, char **argv, const char *flag, const char *env,
         if (std::strncmp(argv[i], flag, len) == 0 && argv[i][len] == '=')
             return argv[i] + len + 1;
     }
-    origin = env;
-    const char *value = std::getenv(env);
+    from = env;
+    const char *value = env ? std::getenv(env) : nullptr;
     return value && *value ? value : nullptr;
 }
 
-/** Strict decimal parse of a thread count; fatal above 1024. */
-long
-parseThreadCount(const char *text, const char *origin)
+namespace
 {
-    char *end = nullptr;
-    const long v = std::strtol(text, &end, 10);
-    if (end == text || *end != '\0')
-        SIM_FATAL("harness", "%s: '%s' is not a number", origin, text);
-    if (v > 1024)
-        SIM_FATAL("harness", "%s: %ld threads is absurd (max 1024)",
-                  origin, v);
-    return v;
-}
+
+/** Thread counts above this are typos, not requests. */
+constexpr std::uint64_t maxThreads = 1024;
 
 } // namespace
 
@@ -66,16 +72,11 @@ parseJobs(int argc, char **argv)
 {
     const char *origin = nullptr;
     const char *text =
-        flagOrEnv(argc, argv, "--jobs", "AFFALLOC_JOBS", origin);
+        flagValue(argc, argv, "--jobs", "AFFALLOC_JOBS", &origin);
     if (!text)
         return 1;
-    const long v = parseThreadCount(text, origin);
-    if (v < 0) {
-        SIM_FATAL("harness",
-                  "%s: %ld is invalid (0 = one worker per hardware "
-                  "thread)",
-                  origin, v);
-    }
+    // 0 means one worker per hardware thread.
+    const std::uint64_t v = parseCount(origin, text, maxThreads);
     if (v > 0)
         return static_cast<unsigned>(v);
     const unsigned hw = std::thread::hardware_concurrency();
@@ -86,25 +87,25 @@ unsigned
 applySimThreads(int argc, char **argv)
 {
     const char *origin = nullptr;
-    const char *text = flagOrEnv(argc, argv, "--sim-threads",
-                                 "AFFALLOC_SIM_THREADS", origin);
-    const long v = text ? parseThreadCount(text, origin) : 1;
-    if (v <= 0) {
+    const char *text = flagValue(argc, argv, "--sim-threads",
+                                 "AFFALLOC_SIM_THREADS", &origin);
+    const std::uint64_t v = text ? parseCount(origin, text, maxThreads) : 1;
+    if (v == 0) {
         SIM_FATAL("harness",
-                  "%s: %ld is invalid; need at least 1 thread to replay "
+                  "%s: 0 is invalid; need at least 1 thread to replay "
                   "the epoch (1 = classic serial execution)",
-                  origin, v);
+                  origin);
     }
     const unsigned hw = std::thread::hardware_concurrency();
     const char *over = std::getenv("AFFALLOC_SIM_OVERSUBSCRIBE");
     const bool oversubscribe = over && *over && *over != '0';
     if (hw != 0 && static_cast<unsigned>(v) > hw && !oversubscribe) {
         SIM_FATAL("harness",
-                  "%s: %ld exceeds this host's %u hardware threads; "
+                  "%s: %llu exceeds this host's %u hardware threads; "
                   "oversubscribing only slows the replay down (set "
                   "AFFALLOC_SIM_OVERSUBSCRIBE=1 to force, e.g. in a "
                   "cgroup-limited container)",
-                  origin, v, hw);
+                  origin, static_cast<unsigned long long>(v), hw);
     }
     sim::setDefaultSimThreads(static_cast<unsigned>(v));
     return static_cast<unsigned>(v);
@@ -175,28 +176,17 @@ validateProgressInterval(const char *text, const char *origin)
 bool
 applyProfFlags(int argc, char **argv)
 {
-    const char *prof_path = nullptr;
+    const char *prof_path =
+        flagValue(argc, argv, "--prof-out", "AFFALLOC_PROF_OUT");
     bool progress = false;
     double interval = 5.0;
     for (int i = 1; i < argc; ++i) {
-        const char *arg = argv[i];
-        if (std::strcmp(arg, "--prof-out") == 0) {
-            if (i + 1 >= argc)
-                SIM_FATAL("harness", "--prof-out requires a value");
-            prof_path = argv[++i];
-        } else if (std::strncmp(arg, "--prof-out=", 11) == 0) {
-            prof_path = arg + 11;
-        } else if (std::strcmp(arg, "--progress") == 0) {
+        if (std::strcmp(argv[i], "--progress") == 0) {
             progress = true;
-        } else if (std::strncmp(arg, "--progress=", 11) == 0) {
+        } else if (std::strncmp(argv[i], "--progress=", 11) == 0) {
             progress = true;
-            interval = validateProgressInterval(arg + 11, "--progress");
+            interval = validateProgressInterval(argv[i] + 11, "--progress");
         }
-    }
-    if (!prof_path) {
-        if (const char *env = std::getenv("AFFALLOC_PROF_OUT");
-            env && *env)
-            prof_path = env;
     }
     if (!progress) {
         if (const char *env = std::getenv("AFFALLOC_PROGRESS");
@@ -220,6 +210,22 @@ applyProfFlags(int argc, char **argv)
     if (progress)
         prof::progressEnable(interval);
     return prof_path != nullptr;
+}
+
+BenchFlags
+parseBenchFlags(int argc, char **argv)
+{
+    BenchFlags f;
+    try {
+        f.quick = quickMode(argc, argv);
+        f.jobs = parseJobs(argc, argv);
+        applySimThreads(argc, argv);
+        applyProfFlags(argc, argv);
+    } catch (const FatalError &e) {
+        std::fprintf(stderr, "%s\n", e.what());
+        std::exit(2);
+    }
+    return f;
 }
 
 void

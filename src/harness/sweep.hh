@@ -13,12 +13,31 @@
 #define AFFALLOC_HARNESS_SWEEP_HH
 
 #include <cstddef>
+#include <cstdint>
 #include <functional>
+#include <string>
 #include <utility>
 #include <vector>
 
 namespace affalloc::harness
 {
+
+/**
+ * The value of the first `FLAG V` or `FLAG=V` in argv, else the
+ * environment variable @p env when given and non-empty, else null.
+ * @p origin (optional) is set to whichever of the two supplied it.
+ */
+const char *flagValue(int argc, char **argv, const char *flag,
+                      const char *env = nullptr,
+                      const char **origin = nullptr);
+
+/**
+ * Strict decimal parse of a count flag's value: digits only (no sign,
+ * suffix or blank) and at most @p max, else fatal naming @p origin
+ * (the flag or environment variable that supplied it).
+ */
+std::uint64_t parseCount(const char *origin, const std::string &text,
+                         std::uint64_t max);
 
 /**
  * Parse the shared --jobs flag: `--jobs N`, `--jobs=N`, or the
@@ -61,6 +80,22 @@ unsigned applySimThreads(int argc, char **argv);
  * the caller; benches ignore them, affalloc_cli rejects them.
  */
 bool applyProfFlags(int argc, char **argv);
+
+/** The flags every bench main reads before its sweep. */
+struct BenchFlags
+{
+    /** --quick: smaller inputs for smoke runs. */
+    bool quick = false;
+    /** Sweep workers (parseJobs). */
+    unsigned jobs = 1;
+};
+
+/**
+ * The prelude of every bench main: --quick, then parseJobs,
+ * applySimThreads and applyProfFlags. A bad value prints its
+ * `fatal: ...` message on stderr and exits 2, as affalloc_cli does.
+ */
+BenchFlags parseBenchFlags(int argc, char **argv);
 
 /**
  * Execute every task, spreading them over @p jobs worker threads

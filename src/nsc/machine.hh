@@ -272,8 +272,8 @@ class Machine
     /**
      * Hook invoked at the very end of every endEpoch() (after the
      * audit). The tenant scheduler uses this as its preemption point:
-     * the hook may block the calling logical thread while other
-     * tenants advance the same machine. Null (the default) costs one
+     * the hook may switch to another tenant's fiber, which advances
+     * the same machine before this one resumes. Null (the default) costs one
      * never-taken branch; installing a hook changes no timing and is
      * digest-neutral when the hook itself mutates nothing.
      */

@@ -45,9 +45,8 @@ jsonPair(const char *a, std::uint64_t av, const char *b, std::uint64_t bv)
 
 /**
  * The engine. One instance per runServe call; implements the
- * scheduler's admission interface. All state transitions happen on
- * the scheduler thread at scheduling rounds, keyed off the simulated
- * clock only — host threading never influences an outcome.
+ * scheduler's admission interface. All state transitions happen at
+ * scheduling rounds, keyed off the simulated clock only.
  */
 class ServeEngine final : public tenant::AdmissionControl
 {
@@ -71,7 +70,7 @@ class ServeEngine final : public tenant::AdmissionControl
     };
 
     void generateArrivals();
-    void measureUnloadedBaselines();
+    void measureUnloadedBaselines(const tenant::CorunOptions &copts);
     void applyFaultsUpTo(Cycles now);
     void reassignRedirects();
     /** Try to enqueue one arrival attempt (fresh or retried). */
@@ -204,29 +203,18 @@ ServeEngine::generateArrivals()
 }
 
 void
-ServeEngine::measureUnloadedBaselines()
+ServeEngine::measureUnloadedBaselines(const tenant::CorunOptions &copts)
 {
-    unloaded_.resize(opts_.classes.size(), 0);
+    PROF_SCOPE("serve/baseline");
+    tenant::CorunOptions healthy = copts;
+    healthy.machine.faults = sim::FaultConfig{};
     for (std::size_t c = 0; c < opts_.classes.size(); ++c) {
-        workloads::RunConfig rc;
-        rc.mode = opts_.mode;
-        rc.machine = opts_.machine;
-        rc.machine.faults = sim::FaultConfig{}; // healthy baseline
-        rc.heapPolicy = opts_.heapPolicy;
-        rc.allocOpts = opts_.allocOpts;
-        rc.allocOpts.seed = Rng::substreamSeed(
-            opts_.allocOpts.seed, baselineStreamBase + c);
-        workloads::RunContext ctx(rc);
-        const tenant::RunnerFn fn =
-            tenant::workloadRunner(opts_.classes[c].workload);
-        const workloads::RunResult solo = fn(
-            ctx,
-            Rng::substreamSeed(opts_.seed, baselineStreamBase + c),
-            opts_.quick);
+        const workloads::RunResult solo = tenant::runSolo(
+            healthy, opts_.classes[c].workload, baselineStreamBase + c);
         SIM_REQUIRE("serve", solo.valid,
                     "unloaded baseline of '%s' failed validation",
                     opts_.classes[c].workload.c_str());
-        unloaded_[c] = std::max<Cycles>(1, solo.stats.cycles);
+        unloaded_.push_back(std::max<Cycles>(1, solo.stats.cycles));
     }
 }
 
@@ -439,12 +427,9 @@ ServeEngine::admit(Cycles now)
         for (std::size_t i = 0; i < opts_.background.size(); ++i) {
             const tenant::TenantSpec &spec = opts_.background[i];
             tenant::AdmittedJob job;
+            static_cast<tenant::TenantSpec &>(job) = spec;
             job.requestId = bgIdBase + i;
-            job.workload = spec.workload;
             job.name = spec.workload + "#bg" + std::to_string(i);
-            job.weight = spec.weight;
-            job.cls = spec.cls;
-            job.runner = spec.runner;
             job.arena = opts_.slots + static_cast<std::uint32_t>(i);
             jobs.push_back(std::move(job));
             traceInstant("background-admit", now,
@@ -663,7 +648,6 @@ ServeEngine::run()
 {
     prof::progressSetGoal(opts_.numRequests);
     generateArrivals();
-    measureUnloadedBaselines();
 
     tenant::CorunOptions copts;
     copts.machine = opts_.machine;
@@ -676,6 +660,7 @@ ServeEngine::run()
     copts.quick = opts_.quick;
     copts.solo = false;
     copts.obs = opts_.obs;
+    measureUnloadedBaselines(copts);
 
     // Arena layout: [0, slots) recycle across requests; one dedicated
     // slot per background agent follows at [slots, slots + bg).

@@ -313,6 +313,19 @@ addTimed(const char *name, std::uint64_t ns)
     detail::scopeExit(node, ns);
 }
 
+void *
+scopeCursor()
+{
+    return enabled() ? detail::threadState().current : nullptr;
+}
+
+void
+setScopeCursor(void *cursor)
+{
+    if (cursor)
+        detail::threadState().current = static_cast<detail::Node *>(cursor);
+}
+
 void
 counterAdd(const char *name, std::uint64_t v)
 {
@@ -541,6 +554,8 @@ resetForTest()
 
 void setEnabled(bool) {}
 void addTimed(const char *, std::uint64_t) {}
+void *scopeCursor() { return nullptr; }
+void setScopeCursor(void *) {}
 void counterAdd(const char *, std::uint64_t) {}
 void counterMax(const char *, std::uint64_t) {}
 bool rssEpochTick() { return false; }

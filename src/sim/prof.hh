@@ -217,6 +217,15 @@ class ScopeSampled
  */
 void addTimed(const char *name, std::uint64_t ns);
 
+/**
+ * The calling thread's scope cursor (where the next scope nests; null
+ * while profiling is off) and its restore (null: no-op). A fiber
+ * switch saves and restores it, so the scopes a fiber opens nest
+ * under the scope that resumed it.
+ */
+void *scopeCursor();
+void setScopeCursor(void *cursor);
+
 /** Bump named counter @p name by @p v (no-op when disabled). */
 void counterAdd(const char *name, std::uint64_t v);
 

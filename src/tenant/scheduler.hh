@@ -1,11 +1,13 @@
 /**
  * @file
- * Multi-tenant co-run scheduling: N workload instances share one
- * machine (L3 banks, NoC, DRAM, IOT) while each owns a private
- * allocator arena and RNG substream. A TenantScheduler advances the
- * tenants in deterministic epoch-interleaved rounds — at every epoch
- * boundary the running tenant's quantum is charged, and when it
- * expires the machine is handed to the next tenant. Timing remains a
+ * Multi-tenant scheduling: N workload instances share one machine (L3
+ * banks, NoC, DRAM, IOT) while each owns a private allocator arena
+ * and RNG substream. A TenantScheduler runs each tenant as a fiber on
+ * one OS thread and advances them in deterministic epoch-interleaved
+ * rounds — at every epoch boundary the running tenant's quantum is
+ * charged, and when it expires the tenant yields the machine to the
+ * next one. Closed co-runs (runCorun) and serving runs (src/serve)
+ * drive the same loop through an AdmissionControl. Timing remains a
  * single shared clock, so co-run interference (bank pressure via the
  * shared BankLoadBoard, queueing for the machine) is visible in each
  * tenant's finish time, and the QoS report quantifies it against
@@ -15,12 +17,9 @@
 #ifndef AFFALLOC_TENANT_SCHEDULER_HH
 #define AFFALLOC_TENANT_SCHEDULER_HH
 
-#include <condition_variable>
 #include <cstdint>
 #include <memory>
-#include <mutex>
 #include <string>
-#include <thread>
 #include <vector>
 
 #include "obs/observer.hh"
@@ -66,35 +65,35 @@ struct CorunOptions
 };
 
 /**
- * One job admitted into the open-system scheduler (see
- * AdmissionControl). Jobs are the dynamic analogue of boot-time
- * TenantSpecs: each runs one registry workload in a recycled arena
- * slot and reports back through AdmissionControl::onFinish.
+ * Run registry workload @p workload alone on a fresh machine as
+ * tenant substream @p stream: a solo baseline.
  */
-struct AdmittedJob
+workloads::RunResult runSolo(const CorunOptions &opts,
+                             const std::string &workload,
+                             std::uint64_t stream);
+
+/**
+ * One job admitted into the scheduler (see AdmissionControl): a
+ * TenantSpec plus where it runs. Each job runs one workload in an
+ * arena slot (recycled across jobs in serving runs) and reports back
+ * through AdmissionControl::onFinish.
+ */
+struct AdmittedJob : TenantSpec
 {
     /** Caller's request id; also the job's RNG substream index. */
     std::uint64_t requestId = 0;
-    /** Registry workload name. */
-    std::string workload;
     /** Instance label, e.g. "bfs#17". */
     std::string name;
-    /** Arena slot the job allocates from (recycled across jobs). */
+    /** Arena slot the job allocates from. */
     std::uint32_t arena = 0;
-    /** Scheduling weight under the weighted policy. */
-    std::uint32_t weight = 1;
-    /** Traffic class of the job (ndc = classic request). */
-    AgentClass cls = AgentClass::ndc;
-    /** Explicit runner for non-registry agents; null = registry. */
-    RunnerFn runner = nullptr;
 };
 
 /**
- * Driver of an open-system run (TenantScheduler::runOpen): decides
- * which jobs enter the machine and when, and is told when they leave.
- * All three hooks run on the scheduler thread while every job thread
- * is parked, so implementations need no locking; they must be
- * deterministic functions of the simulated clock for the run to be
+ * Driver of a scheduler run (TenantScheduler::runOpen): decides which
+ * jobs enter the machine and when, and is told when they leave. All
+ * three hooks run on the scheduler's thread between quanta, while no
+ * job is mid-quantum, so implementations need no locking; they must
+ * be deterministic functions of the simulated clock for the run to be
  * digest-stable.
  */
 class AdmissionControl
@@ -117,8 +116,9 @@ class AdmissionControl
     virtual Cycles idleAdvance(Cycles now) = 0;
 
     /**
-     * Called after @p job's thread finished and was joined.
-     * @p finish_cycle is the shared-clock cycle of its last epoch.
+     * Called after @p job's workload returned and its fiber was
+     * released. @p finish_cycle is the shared-clock cycle of its last
+     * epoch.
      */
     virtual void onFinish(const AdmittedJob &job,
                           const workloads::RunResult &result,
@@ -175,22 +175,20 @@ struct CorunReport
 };
 
 /**
- * Runs one co-run to completion. Construction builds the shared
- * machine; run() spawns one cooperative thread per tenant and
- * interleaves them under the configured policy. Handoffs are strictly
- * serialized (exactly one thread touches the machine at any time), so
- * results are bit-deterministic regardless of host scheduling.
+ * Runs one simulation's tenants to completion. Construction builds
+ * the shared machine; runOpen() runs every admitted job as a fiber on
+ * the calling thread and interleaves them under the configured
+ * policy. Exactly one fiber touches the machine at a time and the
+ * switch points are the epoch boundaries, so results are
+ * bit-deterministic and no other OS thread is involved.
  */
 class TenantScheduler
 {
   public:
-    TenantScheduler(std::vector<TenantSpec> specs, CorunOptions opts);
-
     /**
-     * Open-system mode: no boot-time tenants; jobs are admitted
-     * dynamically by an AdmissionControl into @p num_slots recycled
-     * arena slots (the machine's IOT is sized for the slots, not the
-     * job count). Drive with runOpen().
+     * Jobs are admitted by an AdmissionControl into @p num_slots arena
+     * slots (the machine's IOT is sized for the slots, not the job
+     * count).
      */
     TenantScheduler(CorunOptions opts, std::uint32_t num_slots);
 
@@ -199,28 +197,33 @@ class TenantScheduler
     TenantScheduler(const TenantScheduler &) = delete;
     TenantScheduler &operator=(const TenantScheduler &) = delete;
 
-    /** Execute the co-run (once) and return the report. */
-    CorunReport run();
-
     /**
-     * Execute an open-system run (once): repeatedly ask @p adm for
-     * new jobs, interleave the admitted ones under the quantum
-     * policy, fast-forward the idle machine between arrivals, and
-     * report each completion back. Finished job threads are joined
-     * eagerly so at most num_slots threads exist at a time. Ends when
-     * no job is running and @p adm.idleAdvance returns 0.
+     * Execute the run (once): repeatedly ask @p adm for new jobs,
+     * interleave the admitted ones under the quantum policy,
+     * fast-forward the idle machine between arrivals, and report each
+     * completion back. A finished job's fiber stack is released at
+     * once. Ends when no job is running and @p adm.idleAdvance
+     * returns 0. On an error (a job's or a hook's) admission stops,
+     * the jobs in flight drain, and the first error is rethrown.
      */
     CorunReport runOpen(AdmissionControl &adm);
+
+    /**
+     * Declare the run's tenants up front: job i of the run is tenant
+     * @p names[i] of the per-tenant metrics overlay. Only runs that
+     * know every job before the first round (closed co-runs) can; in
+     * others the overlay stays off.
+     */
+    void declareTenants(std::vector<std::string> names);
 
     /** The shared machine (valid for the scheduler's lifetime). */
     nsc::Machine &machine() { return *machine_; }
 
     /**
      * Ask open-ended background agents (host traffic / I/O injectors)
-     * to finish at their next epoch boundary. Closed co-runs raise
-     * this automatically once every NDC tenant finished; open-system
-     * admission controls call it (on the scheduler thread, e.g. from
-     * admit()) once all real requests resolved.
+     * to finish at their next epoch boundary. Admission controls call
+     * it from their hooks once all foreground work resolved; a job
+     * error raises it too.
      */
     void requestBackgroundDrain() { drainBackground_ = true; }
 
@@ -229,53 +232,20 @@ class TenantScheduler
     alloc::BankLoadBoard &loadBoard() { return board_; }
 
   private:
-    struct Tenant
-    {
-        std::uint32_t id = 0;
-        std::string name;
-        TenantSpec spec;
-        RunnerFn fn;
-        workloads::TenantBinding binding;
-        std::thread thread;
-        bool finished = false;
-        std::uint64_t epochsRun = 0;
-        workloads::RunResult result;
-        std::exception_ptr error;
-        /** Arena the tenant allocates from (== id in closed co-runs). */
-        std::uint32_t arena = 0;
-        /** RNG substream index (== id in closed co-runs). */
-        std::uint64_t seedIndex = 0;
-        /** The admission record (open-system mode only). */
-        AdmittedJob job;
-        /** Whether the finished thread was already joined. */
-        bool joined = false;
-    };
+    struct Tenant;
 
-    /** Tenant-thread body: wait for the grant, run the workload. */
+    /** Fiber body: run the workload, keep any error inside. */
     void tenantMain(Tenant &t);
-    /** Machine epoch hook; runs on the granted tenant's thread. */
+    /** Machine epoch hook; runs on the granted tenant's fiber. */
     void onEpoch();
     /** Next unfinished tenant in cyclic order, or -1 when done. */
     int pickNext();
-    /** Quantum (epochs) for one grant of @p t under the policy. */
-    std::uint64_t quantumFor(const Tenant &t) const;
-    /** Build the tenant's RunConfig (arena, board, substream seed). */
-    workloads::RunConfig tenantRunConfig(const Tenant &t);
-    /** Spawn one admitted job as a tenant thread (open mode). */
-    Tenant &spawnJob(const AdmittedJob &job);
-    /** Grant one quantum to tenant @p next and wait for its yield. */
+    /** Spawn one admitted job as a tenant fiber. */
+    void spawnJob(const AdmittedJob &job);
+    /** Resume tenant @p next for one quantum, until it yields. */
     void grantQuantum(int next);
-    /** Package tenants_ into a CorunReport (shared by both modes). */
+    /** Package tenants_ into a CorunReport. */
     CorunReport buildReport();
-    /** Whether every NDC (foreground) tenant has finished. */
-    bool allForegroundDone() const;
-    /** Fold @p cls into the machine's present-class mask. */
-    void notePresentClass(AgentClass cls);
-    /**
-     * Size the IOT for @p arenas arenas and build the SimOS, Machine
-     * and optional Observer (shared by both constructors).
-     */
-    void buildMachine(std::size_t arenas);
 
     CorunOptions opts_;
     std::unique_ptr<os::SimOS> os_;
@@ -284,28 +254,17 @@ class TenantScheduler
     alloc::BankLoadBoard board_;
     std::vector<std::unique_ptr<Tenant>> tenants_;
     bool ran_ = false;
-    /** Arena slots in open-system mode (0: closed co-run). */
-    std::uint32_t openSlots_ = 0;
+    /** Arena slots jobs may name. */
+    std::uint32_t slots_ = 0;
+    /** Tenants declared to the metrics overlay (declareTenants). */
+    std::size_t declaredTenants_ = 0;
     /** Bit mask of agent classes seen on this machine (bit 0 = ndc). */
     std::uint32_t presentMask_ = 0;
-    /** Whether this run has at least one NDC (foreground) tenant. */
-    bool haveForeground_ = false;
-    /**
-     * Cooperative stop signal handed to background agents through
-     * RunConfig::stopRequested. Written on the scheduler thread while
-     * all tenant threads are parked; the grant handoff mutex orders
-     * the agents' reads.
-     */
+    /** Cooperative stop signal handed to background agents through
+     *  RunConfig::stopRequested. */
     bool drainBackground_ = false;
 
-    // Cooperative handoff state. `running_` is the tenant id granted
-    // the machine (-1: the scheduler thread). All transitions happen
-    // under `mu_`; unlocked reads in the epoch fast path are ordered
-    // by the grant handoff itself (strict alternation through the
-    // mutex), so exactly one thread ever touches them at a time.
-    std::mutex mu_;
-    std::condition_variable cv_;
-    int running_ = -1;
+    /** The granted tenant and its quantum, read by onEpoch(). */
     std::uint32_t current_ = 0;
     std::uint64_t quantum_ = 1;
     std::uint64_t quantumUsed_ = 0;
@@ -313,8 +272,10 @@ class TenantScheduler
 };
 
 /**
- * Convenience: build a scheduler, run the co-run, and (per
- * opts.solo) the per-tenant solo baselines that fill the QoS fields.
+ * Run a closed co-run: every spec is admitted at the first round
+ * (arena, request id and tenant id = spec index), then, per
+ * opts.solo, the per-tenant solo baselines that fill the QoS fields
+ * run.
  */
 CorunReport runCorun(const std::vector<TenantSpec> &specs,
                      const CorunOptions &opts);

@@ -108,8 +108,8 @@ struct TenantBinding
      * Shared-clock cycle at the end of this tenant's most recent
      * epoch (maintained by the scheduler's epoch hook). finish() uses
      * it so a tenant preempted exactly at its final epoch is not
-     * charged for other tenants' epochs that ran before its parked
-     * thread got to the bookkeeping.
+     * charged for other tenants' epochs that ran before its fiber was
+     * resumed to do the bookkeeping.
      */
     Cycles lastEpochCycle = 0;
 };

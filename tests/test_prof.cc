@@ -18,6 +18,7 @@
 
 #include "graph/generators.hh"
 #include "harness/sweep.hh"
+#include "serve/serve.hh"
 #include "sim/prof.hh"
 #include "sim/simcheck.hh"
 #include "sim/worker_pool.hh"
@@ -195,6 +196,83 @@ TEST_F(ProfPhases, RealRunSatisfiesTreeInvariants)
     EXPECT_NE(findPhase(replay->children, "machine/epoch.replay/wave2"),
               nullptr);
     EXPECT_NE(findPhase(snap.phases, "alloc/malloc_aff.affine"), nullptr);
+}
+
+namespace
+{
+
+std::uint64_t
+exclusiveSum(const std::vector<prof::PhaseNode> &nodes)
+{
+    std::uint64_t sum = 0;
+    for (const prof::PhaseNode &n : nodes)
+        sum += n.exclusiveNs + exclusiveSum(n.children);
+    return sum;
+}
+
+bool
+isWorkPhase(const std::string &name)
+{
+    return name.rfind("alloc/", 0) == 0 ||
+           name.rfind("machine/epoch.", 0) == 0;
+}
+
+/**
+ * Count the work phases (allocator, epoch) beneath a tenant/quantum;
+ * fail on any that sits under neither a quantum nor a serve/baseline
+ * (the unloaded baselines run outside the scheduler).
+ */
+std::size_t
+checkWorkNesting(const std::vector<prof::PhaseNode> &nodes,
+                 const std::string &owner)
+{
+    std::size_t underQuantum = 0;
+    for (const prof::PhaseNode &n : nodes) {
+        if (isWorkPhase(n.name)) {
+            EXPECT_FALSE(owner.empty()) << n.name << " is outside any "
+                                        << "quantum or baseline";
+            underQuantum += owner == "tenant/quantum";
+        }
+        const bool owns =
+            n.name == "tenant/quantum" || n.name == "serve/baseline";
+        underQuantum += checkWorkNesting(n.children, owns ? n.name : owner);
+    }
+    return underQuantum;
+}
+
+} // namespace
+
+TEST_F(ProfPhases, ServeJobWorkNestsUnderTheGrantingQuantum)
+{
+    // Serve jobs run as fibers on the scheduler's thread: the work a
+    // job does inside a quantum is charged beneath that quantum, never
+    // in a root of its own, and the tree partitions the wall clock.
+    if (!prof::compiledIn)
+        GTEST_SKIP() << "built with -DAFFALLOC_PROF=OFF";
+    prof::setEnabled(true);
+    serve::ServeOptions o;
+    o.quick = true;
+    o.seed = 3;
+    o.numRequests = 8;
+    o.slots = 2;
+    o.queueCapacity = 8;
+    o.arrivalsPerMcycle = 2.0;
+    o.maxCycles = 2'000'000'000ULL;
+    o.quantumEpochs = 2;
+    const serve::ServeReport r = serve::runServe(o);
+    EXPECT_TRUE(r.allValid);
+    const prof::Snapshot snap = prof::harvest();
+    ASSERT_GT(snap.wallNs, 0u);
+    EXPECT_LE(exclusiveSum(snap.phases), snap.wallNs);
+    for (const prof::PhaseNode &root : snap.phases) {
+        EXPECT_FALSE(isWorkPhase(root.name)) << root.name << " is a root";
+        checkTreeInvariants(root);
+    }
+    EXPECT_GT(checkWorkNesting(snap.phases, ""), 0u);
+    const prof::PhaseNode *quantum = findPhase(snap.phases, "tenant/quantum");
+    ASSERT_NE(quantum, nullptr);
+    EXPECT_NE(findPhase(quantum->children, "machine/epoch.record"),
+              nullptr);
 }
 
 TEST_F(ProfPhases, DisabledScopesRecordNothing)

@@ -8,6 +8,7 @@
 
 #include <gtest/gtest.h>
 
+#include <stdexcept>
 #include <string>
 #include <vector>
 
@@ -222,6 +223,114 @@ TEST(Corun, SoloBaselinesFillQos)
     EXPECT_NEAR(rep.tenants[1].slowdown, 2.0, 1e-9);
     EXPECT_NEAR(rep.weightedSpeedup, 1.5, 1e-9);
     EXPECT_NEAR(rep.fairness, 0.9, 1e-9);
+}
+
+// ------------------------------------------------------ error paths
+
+namespace
+{
+
+/** A runner that runs @p epochs epochs, then throws mid-epoch. */
+RunnerFn
+failingRunner(std::uint32_t epochs)
+{
+    return [epochs](workloads::RunContext &ctx, std::uint64_t,
+                    bool) -> workloads::RunResult {
+        void *buf = ctx.allocator.allocPlain(4096);
+        const Addr base = ctx.machine.addressSpace().simAddrOf(buf);
+        for (std::uint32_t e = 0; e < epochs; ++e) {
+            ctx.machine.beginEpoch();
+            ctx.machine.coreAccess(0, base, 8, AccessType::read, false);
+            ctx.machine.endEpoch();
+        }
+        ctx.machine.beginEpoch();
+        throw std::runtime_error("tenant failed mid-epoch");
+    };
+}
+
+/** The registry runner for @p workload, noting when it returns. */
+RunnerFn
+recordingRunner(const std::string &workload, bool &finished)
+{
+    return [workload, &finished](workloads::RunContext &ctx,
+                                 std::uint64_t seed, bool quick) {
+        const workloads::RunResult r =
+            workloadRunner(workload)(ctx, seed, quick);
+        finished = r.valid;
+        return r;
+    };
+}
+
+} // namespace
+
+TEST(CorunErrors, FailingTenantDrainsTheOthersAndRethrows)
+{
+    CorunOptions opts = quickOpts();
+    opts.quantumEpochs = 2;
+    const std::vector<TenantSpec> ref = {{"hotspot", 1}, {"vecadd", 1}};
+    const std::uint64_t refDigest = runCorun(ref, opts).digest();
+
+    bool hotspotDone = false;
+    bool vecaddDone = false;
+    std::vector<TenantSpec> specs = {{"hotspot", 1}, {"boom", 1},
+                                     {"vecadd", 1}};
+    specs[0].runner = recordingRunner("hotspot", hotspotDone);
+    specs[1].runner = failingRunner(5);
+    specs[2].runner = recordingRunner("vecadd", vecaddDone);
+    EXPECT_THROW(runCorun(specs, opts), std::runtime_error);
+    EXPECT_TRUE(hotspotDone);
+    EXPECT_TRUE(vecaddDone);
+
+    // Nothing of the failed run leaks into the next one.
+    EXPECT_EQ(runCorun(ref, opts).digest(), refDigest);
+}
+
+TEST(CorunErrors, ThrowingAdmissionDrainsJobsInFlight)
+{
+    // admit() admits two jobs, then throws on the next round while
+    // both are still running: they must run to completion before the
+    // error surfaces.
+    struct Admission final : AdmissionControl
+    {
+        bool done[2] = {false, false};
+        int rounds = 0;
+        std::vector<AdmittedJob>
+        admit(Cycles) override
+        {
+            if (rounds++ == 1)
+                throw std::runtime_error("admission failed");
+            std::vector<AdmittedJob> jobs;
+            if (rounds > 1)
+                return jobs;
+            const char *names[2] = {"hotspot", "vecadd"};
+            for (std::uint32_t i = 0; i < 2; ++i) {
+                AdmittedJob job;
+                job.workload = names[i];
+                job.runner = recordingRunner(names[i], done[i]);
+                job.requestId = i;
+                job.arena = i;
+                jobs.push_back(job);
+            }
+            return jobs;
+        }
+        Cycles idleAdvance(Cycles) override { return 0; }
+        void
+        onFinish(const AdmittedJob &, const workloads::RunResult &,
+                 Cycles) override
+        {
+            ADD_FAILURE() << "onFinish after the admission error";
+        }
+    } adm;
+
+    CorunOptions opts = quickOpts();
+    opts.quantumEpochs = 2;
+    TenantScheduler sched(opts, 2);
+    EXPECT_THROW(sched.runOpen(adm), std::runtime_error);
+    EXPECT_TRUE(adm.done[0]);
+    EXPECT_TRUE(adm.done[1]);
+    EXPECT_EQ(adm.rounds, 2);
+    // Both jobs' allocators unregistered every host range.
+    EXPECT_EQ(sched.machine().addressSpace().size(), 0u);
 }
 
 // -------------------------------------------------- cross-tenant audit

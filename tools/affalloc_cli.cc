@@ -15,7 +15,6 @@
  *            bfs sssp sssp_pq link_list hash_join bin_tree
  */
 
-#include <cerrno>
 #include <cstdint>
 #include <cstdio>
 #include <cstdlib>
@@ -42,6 +41,7 @@
 
 using namespace affalloc;
 using namespace affalloc::workloads;
+using affalloc::harness::parseCount;
 
 namespace
 {
@@ -194,33 +194,6 @@ printVersion()
                 simcheck::compiledIn ? "on" : "off",
                 prof::compiledIn ? "on" : "off");
     std::exit(0);
-}
-
-/**
- * Strict decimal parse for count-valued flags: the whole value must
- * be digits and fit in [0, max]. Rejecting "10x", "-1" and overflow
- * here turns silent atoi truncation into a clean config error.
- */
-std::uint64_t
-parseCount(const char *flag, const std::string &v, std::uint64_t max)
-{
-    bool ok = !v.empty();
-    for (const char c : v)
-        ok = ok && c >= '0' && c <= '9';
-    std::uint64_t n = 0;
-    if (ok) {
-        char *end = nullptr;
-        errno = 0;
-        n = std::strtoull(v.c_str(), &end, 10);
-        ok = errno == 0 && end == v.c_str() + v.size() && n <= max;
-    }
-    if (!ok) {
-        std::fprintf(stderr,
-                     "%s=%s: expected an integer in [0, %llu]\n", flag,
-                     v.c_str(), (unsigned long long)max);
-        usage();
-    }
-    return n;
 }
 
 Options
@@ -882,19 +855,20 @@ main(int argc, char **argv)
     }
     // Install the process-wide sim-threads default before any
     // MachineConfig is constructed, open --prof-out up front and read
-    // --jobs; invalid values/paths are clean CLI errors, not backtraces
-    // (or worse, harvest-time failures after a long run).
-    unsigned jobs = 1;
+    // --jobs and the count flags; invalid values/paths are clean CLI
+    // errors, not backtraces (or worse, harvest-time failures after a
+    // long run).
+    Options o;
     try {
         harness::applySimThreads(argc, argv);
         harness::applyProfFlags(argc, argv);
-        jobs = harness::parseJobs(argc, argv);
+        const unsigned jobs = harness::parseJobs(argc, argv);
+        o = parse(argc, argv);
+        o.jobs = jobs;
     } catch (const FatalError &e) {
         std::fprintf(stderr, "%s\n", e.what());
         return 2;
     }
-    Options o = parse(argc, argv);
-    o.jobs = jobs;
     if (o.command == "topo")
         return cmdTopo(o);
     if (o.command == "layout")

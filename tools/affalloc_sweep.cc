@@ -15,6 +15,7 @@
 
 #include "graph/generators.hh"
 #include "harness/report.hh"
+#include "harness/sweep.hh"
 #include "harness/trace.hh"
 #include "workloads/affine_workloads.hh"
 #include "workloads/graph_workloads.hh"
@@ -36,13 +37,19 @@ main(int argc, char **argv)
     std::uint32_t scale = 13;
     int iters = 4;
     std::string out = "sweep.csv";
-    for (int i = 2; i + 1 < argc; i += 2) {
-        if (!std::strcmp(argv[i], "--scale"))
-            scale = std::uint32_t(std::atoi(argv[i + 1]));
-        else if (!std::strcmp(argv[i], "--iters"))
-            iters = std::atoi(argv[i + 1]);
-        else if (!std::strcmp(argv[i], "--out"))
-            out = argv[i + 1];
+    try {
+        for (int i = 2; i + 1 < argc; i += 2) {
+            if (!std::strcmp(argv[i], "--scale"))
+                scale = std::uint32_t(
+                    harness::parseCount("--scale", argv[i + 1], 30));
+            else if (!std::strcmp(argv[i], "--iters"))
+                iters = int(harness::parseCount("--iters", argv[i + 1], 1000));
+            else if (!std::strcmp(argv[i], "--out"))
+                out = argv[i + 1];
+        }
+    } catch (const FatalError &e) {
+        std::fprintf(stderr, "%s\n", e.what());
+        return 2;
     }
 
     graph::KroneckerParams kp;

@@ -36,13 +36,15 @@ import sys
 import time
 from dataclasses import dataclass, field
 
+import perf_diff
+
 REPO = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 CLI = "build/tools/affalloc_cli"
 FIG12 = "build/bench/fig12_overall --quick"
 FAULTS = "--offline-banks=4 --offload-reject-rate=0.2"
 # Rows asking for 4 replay threads run whatever the host's core count.
 OVERSUB = {"AFFALLOC_SIM_OVERSUBSCRIBE": "1"}
-# Test binaries with worker pools, condvar handoffs or the profiler's
+# Test binaries with worker pools, fiber switches or the profiler's
 # relaxed atomics: the ones the TSan leg runs.
 THREADED = ("test_parallel_epoch", "test_tenant", "test_serve", "test_prof")
 
@@ -155,7 +157,9 @@ TABLE = [
         cmds=["./run_benches.sh --quick --simcheck-digest"]),
     sim_threads("fig15_affine_scale"),
     sim_threads("fig19_degree"),
-    Row("self-profiles", "json", files=["*.prof.json"], cmds=[
+    # Each profile's phases partition its wall (perf_diff's own check).
+    Row("self-profiles", "json", files=["*.prof.json"],
+        check=perf_diff.check_wall_partition, cmds=[
         f"build/bench/{b} --quick --jobs 1 --prof-out={{dir}}/{b}.prof.json"
         for b in ("fig15_affine_scale", "fig19_degree", "serve_availability")]),
     Row("worker-telemetry", "json", env=OVERSUB, check=four_worker_pools,
@@ -196,7 +200,15 @@ TABLE = [
     Row("cli-bad-counts", "rejects", stderr="expected an integer|is not a number",
         cmds=[f"{CLI} serve --quick --requests -1",
               f"{CLI} run bfs --scale 10x",
-              f"{CLI} chaos --campaigns 1 --quick --jobs foo"]),
+              f"{CLI} chaos --campaigns 1 --quick --jobs foo",
+              "build/tools/affalloc_sweep vecadd --scale 10x",
+              "build/tools/affalloc_sweep vecadd --iters -1"]),
+    # A bench reports a bad harness flag as a clean `fatal:` line (exit
+    # 2), not through std::terminate's "what():  fatal:".
+    Row("bench-bad-flags", "rejects", stderr=r"(?m)^fatal: \[harness\]",
+        cmds=["build/bench/fig13_policy --quick --jobs -2",
+              "build/bench/fig13_policy --quick --sim-threads 0",
+              "env AFFALLOC_JOBS=abc build/bench/fig13_policy --quick"]),
     # Chaos: only the header's "jobs N" may differ between job counts;
     # the planted defect is found, shrunk, bundled and replayed.
     Row("chaos-jobs", "same", key="body",

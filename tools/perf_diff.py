@@ -16,7 +16,9 @@ Usage:
 Exit codes (CI contract):
     0  no regression beyond the thresholds
     1  at least one regression beyond a threshold (CI treats as warning)
-    2  schema/parse error — unreadable file, wrong shape (CI fails)
+    2  schema/parse error — unreadable file, wrong shape, or a raw
+       profile whose phases claim more exclusive time than its wall
+       (CI fails)
 
 Wall-clock comparisons are inherently noisy; the default threshold is
 deliberately loose (10%) and benches faster than --min-seconds are
@@ -35,7 +37,7 @@ EXIT_SCHEMA = 2
 PROF_SCHEMA = "affalloc-prof-1"
 
 
-class SchemaError(Exception):
+class SchemaError(ValueError):
     pass
 
 
@@ -49,11 +51,28 @@ def load(path):
         raise SchemaError(f"{path}: not valid JSON: {e}")
 
 
+def check_wall_partition(doc, path="profile"):
+    """A profile's phases partition its wall: the exclusive ns summed
+    over the whole tree may not exceed wall_ns."""
+    def excl(nodes):
+        return sum(int(p["exclusive_ns"]) + excl(p.get("children") or [])
+                   for p in nodes)
+    total, wall = excl(doc["phases"]), int(doc["wall_ns"])
+    if total > wall:
+        raise SchemaError(
+            f"{path}: phases claim {total} exclusive ns, more than the "
+            f"{wall} ns of wall; a phase is counted twice or a thread's "
+            f"work is not nested under the scope that ran it")
+
+
 def classify(doc, path):
     """'overall' for BENCH_overall.json, 'prof' for a --prof-out file."""
     if not isinstance(doc, dict):
         raise SchemaError(f"{path}: expected a JSON object at top level")
     if doc.get("schema") == PROF_SCHEMA:
+        if not isinstance(doc.get("phases"), list):
+            raise SchemaError(f"{path}: 'phases' missing")
+        check_wall_partition(doc, path)
         return "prof"
     if "benches" in doc and "total_seconds" in doc:
         if not isinstance(doc["benches"], dict):
@@ -149,9 +168,6 @@ def diff_overall(base, cur, args, rep):
 
 
 def diff_prof(base, cur, args, rep):
-    for doc, path_label in ((base, "baseline"), (cur, "current")):
-        if not isinstance(doc.get("phases"), list):
-            raise SchemaError(f"{path_label} profile: 'phases' missing")
     old_w, new_w = int(base.get("wall_ns", 0)), int(cur.get("wall_ns", 0))
     if old_w > 0 and new_w > 0:
         line = f"wall_ns: {fmt_delta(new_w, old_w)}"
@@ -317,6 +333,7 @@ def selftest():
     # A regression buried in a *nested* phase is still found: the
     # comparison flattens the tree by name.
     nested_base = json.loads(json.dumps(prof_base))
+    nested_base["phases"][0]["exclusive_ns"] = 4_000_000_000
     nested_base["phases"][0]["children"] = [
         {"name": "machine/epoch.replay", "inclusive_ns": 4_000_000_000,
          "exclusive_ns": 4_000_000_000, "count": 5, "children": []}]
@@ -324,6 +341,17 @@ def selftest():
     nested_cur["phases"][0]["children"][0]["inclusive_ns"] = 7_000_000_000
     run_case("nested-phase-regression", nested_base, nested_cur,
              EXIT_REGRESSION)
+
+    # A profile whose phases claim more exclusive time than its wall
+    # does not partition it (a waiting parent counted beside work that
+    # ran in another thread's root): a schema error on either side.
+    overlap = json.loads(json.dumps(nested_base))
+    overlap["phases"].append(
+        {"name": "alloc/select_bank", "inclusive_ns": 3_000_000_000,
+         "exclusive_ns": 3_000_000_000, "count": 9, "children": []})
+    run_case("exclusive-exceeds-wall", prof_base, overlap, EXIT_SCHEMA)
+    run_case("exclusive-exceeds-wall-baseline", overlap, prof_base,
+             EXIT_SCHEMA)
 
     # Runs of different configurations cannot be compared.
     for k, other in (("quick", False), ("jobs", 4), ("sim_threads", 4)):
