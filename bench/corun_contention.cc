@@ -56,7 +56,7 @@ main(int argc, char **argv)
 
     const harness::BenchCorun corunOpts =
         harness::BenchCorun::parse(argc, argv);
-    const SchedPolicy policy = parseSchedPolicy(corunOpts.sched);
+    const SchedPolicy policy = corunOpts.policy;
     const std::uint32_t quantum = corunOpts.quantumEpochs;
     const std::string &qosPrefix = corunOpts.qosPrefix;
 

@@ -74,7 +74,7 @@ main(int argc, char **argv)
     const harness::BenchObs obsOpts = harness::BenchObs::parse(argc, argv);
     const harness::BenchCorun corunOpts =
         harness::BenchCorun::parse(argc, argv);
-    const SchedPolicy policy = parseSchedPolicy(corunOpts.sched);
+    const SchedPolicy policy = corunOpts.policy;
     // Interference needs fine-grained interleaving: with the harness
     // default of 8 epochs per quantum, a --quick foreground finishes
     // inside its first grant and the background agents never run.

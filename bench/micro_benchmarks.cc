@@ -198,6 +198,32 @@ BM_NetworkSend(benchmark::State &state)
 BENCHMARK(BM_NetworkSend);
 
 /**
+ * What a message costs the NoC model end to end: BM_NetworkSend times
+ * only the pending (src, dst) add, so this adds the epoch close that
+ * expands the batch of range(0) random messages onto the links.
+ * Reported per message.
+ */
+void
+BM_NetworkEpoch(benchmark::State &state)
+{
+    const auto batch = static_cast<std::uint64_t>(state.range(0));
+    sim::MachineConfig cfg;
+    sim::Stats stats;
+    noc::Network net(cfg, stats);
+    Rng rng(7);
+    for (auto _ : state) {
+        for (std::uint64_t i = 0; i < batch; ++i) {
+            net.send(TileId(rng.below(64)), TileId(rng.below(64)), 64,
+                     TrafficClass::data);
+        }
+        benchmark::DoNotOptimize(net.maxLinkFlits());
+        net.resetEpoch();
+    }
+    state.SetItemsProcessed(state.iterations() * batch);
+}
+BENCHMARK(BM_NetworkEpoch)->Arg(1024)->Arg(65536);
+
+/**
  * L3 tag probes spread uniformly over range(0) Table 2 slices (1 MB,
  * 16-way, hashed index), warmed with exactly their capacity of lines
  * in the physical heap range. One slice's 64 kB of tags fits in a

@@ -73,8 +73,7 @@ main(int argc, char **argv)
     const harness::BenchObs obsOpts = harness::BenchObs::parse(argc, argv);
     const harness::BenchCorun corunOpts =
         harness::BenchCorun::parse(argc, argv);
-    const tenant::SchedPolicy policy =
-        tenant::parseSchedPolicy(corunOpts.sched);
+    const tenant::SchedPolicy policy = corunOpts.policy;
 
     sim::MachineConfig cfg;
     simcheckOpts.apply(cfg);

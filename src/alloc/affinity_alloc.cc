@@ -1,6 +1,7 @@
 #include "alloc/affinity_alloc.hh"
 
 #include <algorithm>
+#include <cmath>
 #include <cstring>
 #include <limits>
 #include <new>
@@ -117,6 +118,11 @@ AffinityAllocator::AffinityAllocator(nsc::Machine &machine,
                   "has %u",
                   opts_.arena, machine.simOs().numArenas());
     }
+    // A NaN H makes every Eq. 4 score NaN, and selectBank would then
+    // pick bank 0 every time.
+    if (!std::isfinite(opts_.hybridH) || opts_.hybridH < 0.0)
+        SIM_FATAL("alloc", "Eq. 4 load weight H must be finite and >= 0, "
+                  "got %g", opts_.hybridH);
     if (opts_.maxAffinityAddrs > maxAffinityAddrsLimit) {
         SIM_FATAL("alloc", "maxAffinityAddrs %u exceeds the limit of %u",
                   opts_.maxAffinityAddrs, maxAffinityAddrsLimit);

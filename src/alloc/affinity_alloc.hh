@@ -116,7 +116,8 @@ struct AllocatorOptions
 {
     /** Irregular bank-select policy. */
     BankPolicy policy = BankPolicy::hybrid;
-    /** Load-balance weight H of Eq. 4 (paper default: Hybrid-5). */
+    /** Load-balance weight H of Eq. 4 (paper default: Hybrid-5);
+     *  finite and >= 0, else the constructor SIM_FATALs. */
     double hybridH = 5.0;
     /** Seed for the random policy. */
     std::uint64_t seed = 7;

@@ -9,6 +9,7 @@
 #include "harness/trace.hh"
 #include "obs/heatmap.hh"
 #include "sim/log.hh"
+#include "sim/parse.hh"
 #include "sim/simcheck.hh"
 #include "sim/stats.hh"
 
@@ -275,31 +276,33 @@ BenchSimCheck::apply(sim::MachineConfig &cfg) const
 BenchObs
 BenchObs::parse(int argc, char **argv)
 {
-    BenchObs ob;
     const auto value = [](const char *arg, const char *flag) -> const char * {
         const std::size_t n = std::strlen(flag);
         if (std::strncmp(arg, flag, n) == 0 && arg[n] == '=')
             return arg + n + 1;
         return nullptr;
     };
-    for (int i = 1; i < argc; ++i) {
-        if (const char *v = value(argv[i], "--trace-out"))
-            ob.tracePrefix = v;
-        else if (const char *h = value(argv[i], "--heatmap"))
-            ob.heatmap = h;
-        else if (std::strcmp(argv[i], "--explain-placement") == 0)
-            ob.explainPrefix = "placement_explain";
-        else if (const char *e = value(argv[i], "--explain-placement"))
-            ob.explainPrefix = e;
-        else if (const char *c = value(argv[i], "--obs-csv"))
-            ob.csvPrefix = c;
-    }
-    if (!ob.heatmap.empty() && ob.heatmap != "banks" &&
-        ob.heatmap != "links") {
-        SIM_FATAL("harness", "--heatmap=%s: expected 'banks' or 'links'",
-                  ob.heatmap.c_str());
-    }
-    return ob;
+    return exitOnBadFlag([&] {
+        BenchObs ob;
+        for (int i = 1; i < argc; ++i) {
+            if (const char *v = value(argv[i], "--trace-out"))
+                ob.tracePrefix = v;
+            else if (const char *h = value(argv[i], "--heatmap"))
+                ob.heatmap = h;
+            else if (std::strcmp(argv[i], "--explain-placement") == 0)
+                ob.explainPrefix = "placement_explain";
+            else if (const char *e = value(argv[i], "--explain-placement"))
+                ob.explainPrefix = e;
+            else if (const char *c = value(argv[i], "--obs-csv"))
+                ob.csvPrefix = c;
+        }
+        if (!ob.heatmap.empty() && ob.heatmap != "banks" &&
+            ob.heatmap != "links") {
+            SIM_FATAL("harness", "--heatmap=%s: expected 'banks' or 'links'",
+                      ob.heatmap.c_str());
+        }
+        return ob;
+    });
 }
 
 std::string
@@ -321,20 +324,20 @@ BenchObs::runFile(const std::string &prefix, const std::string &workload,
 BenchCorun
 BenchCorun::parse(int argc, char **argv)
 {
-    BenchCorun co;
-    if (const char *v = flagValue(argc, argv, "--sched"))
-        co.sched = v;
-    if (const char *v = flagValue(argc, argv, "--quantum")) {
-        co.quantumEpochs = static_cast<std::uint32_t>(
-            parseCount("--quantum", v, 1'000'000));
-        if (co.quantumEpochs == 0)
-            SIM_FATAL("harness", "--quantum=0: need a positive epoch count");
-    }
-    if (const char *v = flagValue(argc, argv, "--qos-csv"))
-        co.qosPrefix = v;
-    if (const char *v = flagValue(argc, argv, "--csv"))
-        co.comparisonCsv = v;
-    return co;
+    return exitOnBadFlag([&] {
+        BenchCorun co;
+        if (const char *v = flagValue(argc, argv, "--sched"))
+            co.policy = tenant::parseSchedPolicy(v);
+        if (const char *v = flagValue(argc, argv, "--quantum")) {
+            co.quantumEpochs = static_cast<std::uint32_t>(
+                sim::parseCount("harness", "--quantum", v, 1'000'000, 1));
+        }
+        if (const char *v = flagValue(argc, argv, "--qos-csv"))
+            co.qosPrefix = v;
+        if (const char *v = flagValue(argc, argv, "--csv"))
+            co.comparisonCsv = v;
+        return co;
+    });
 }
 
 void

@@ -12,6 +12,7 @@
 #include <string>
 #include <vector>
 
+#include "tenant/scheduler.hh"
 #include "workloads/run_context.hh"
 
 namespace affalloc::harness
@@ -172,9 +173,9 @@ struct BenchObs
 
 /**
  * Co-run flags shared by multi-tenant benches (see src/tenant/):
- *   --sched=rr|weighted  scheduling policy (validated by the tenant
- *                        layer's parser, so the error message lists
- *                        the valid policies)
+ *   --sched=rr|weighted  scheduling policy (tenant::parseSchedPolicy,
+ *                        so the error message lists the valid
+ *                        policies)
  *   --quantum=N          epochs per scheduling quantum
  *   --qos-csv=PREFIX     one QoS CSV per co-run:
  *                        PREFIX.<corun>.<config>.csv
@@ -184,7 +185,7 @@ struct BenchObs
  */
 struct BenchCorun
 {
-    std::string sched = "rr";
+    tenant::SchedPolicy policy = tenant::SchedPolicy::roundRobin;
     std::uint32_t quantumEpochs = 8;
     std::string qosPrefix;
     std::string comparisonCsv;

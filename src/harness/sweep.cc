@@ -12,30 +12,12 @@
 #include "harness/report.hh"
 #include "sim/config.hh"
 #include "sim/log.hh"
+#include "sim/parse.hh"
 #include "sim/prof.hh"
 #include "sim/worker_pool.hh"
 
 namespace affalloc::harness
 {
-
-std::uint64_t
-parseCount(const char *origin, const std::string &text, std::uint64_t max)
-{
-    bool ok = !text.empty();
-    for (const char c : text)
-        ok = ok && c >= '0' && c <= '9';
-    std::uint64_t n = 0;
-    if (ok) {
-        errno = 0;
-        n = std::strtoull(text.c_str(), nullptr, 10);
-        ok = errno == 0 && n <= max;
-    }
-    if (!ok) {
-        SIM_FATAL("harness", "%s=%s: expected an integer in [0, %llu]",
-                  origin, text.c_str(), static_cast<unsigned long long>(max));
-    }
-    return n;
-}
 
 const char *
 flagValue(int argc, char **argv, const char *flag, const char *env,
@@ -76,7 +58,8 @@ parseJobs(int argc, char **argv)
     if (!text)
         return 1;
     // 0 means one worker per hardware thread.
-    const std::uint64_t v = parseCount(origin, text, maxThreads);
+    const std::uint64_t v =
+        sim::parseCount("harness", origin, text, maxThreads);
     if (v > 0)
         return static_cast<unsigned>(v);
     const unsigned hw = std::thread::hardware_concurrency();
@@ -89,7 +72,8 @@ applySimThreads(int argc, char **argv)
     const char *origin = nullptr;
     const char *text = flagValue(argc, argv, "--sim-threads",
                                  "AFFALLOC_SIM_THREADS", &origin);
-    const std::uint64_t v = text ? parseCount(origin, text, maxThreads) : 1;
+    const std::uint64_t v =
+        text ? sim::parseCount("harness", origin, text, maxThreads) : 1;
     if (v == 0) {
         SIM_FATAL("harness",
                   "%s: 0 is invalid; need at least 1 thread to replay "
@@ -215,17 +199,14 @@ applyProfFlags(int argc, char **argv)
 BenchFlags
 parseBenchFlags(int argc, char **argv)
 {
-    BenchFlags f;
-    try {
+    return exitOnBadFlag([&] {
+        BenchFlags f;
         f.quick = quickMode(argc, argv);
         f.jobs = parseJobs(argc, argv);
         applySimThreads(argc, argv);
         applyProfFlags(argc, argv);
-    } catch (const FatalError &e) {
-        std::fprintf(stderr, "%s\n", e.what());
-        std::exit(2);
-    }
-    return f;
+        return f;
+    });
 }
 
 void

@@ -14,10 +14,14 @@
 
 #include <cstddef>
 #include <cstdint>
+#include <cstdio>
+#include <cstdlib>
 #include <functional>
 #include <string>
 #include <utility>
 #include <vector>
+
+#include "sim/log.hh"
 
 namespace affalloc::harness
 {
@@ -30,14 +34,6 @@ namespace affalloc::harness
 const char *flagValue(int argc, char **argv, const char *flag,
                       const char *env = nullptr,
                       const char **origin = nullptr);
-
-/**
- * Strict decimal parse of a count flag's value: digits only (no sign,
- * suffix or blank) and at most @p max, else fatal naming @p origin
- * (the flag or environment variable that supplied it).
- */
-std::uint64_t parseCount(const char *origin, const std::string &text,
-                         std::uint64_t max);
 
 /**
  * Parse the shared --jobs flag: `--jobs N`, `--jobs=N`, or the
@@ -91,9 +87,26 @@ struct BenchFlags
 };
 
 /**
+ * Run @p parse, one of a bench main's flag parsers. A FatalError from
+ * a bad value prints its `fatal: ...` message on stderr and exits 2,
+ * as affalloc_cli does, instead of escaping main through
+ * std::terminate.
+ */
+template <class Parse>
+auto
+exitOnBadFlag(Parse &&parse) -> decltype(parse())
+{
+    try {
+        return parse();
+    } catch (const FatalError &e) {
+        std::fprintf(stderr, "%s\n", e.what());
+        std::exit(2);
+    }
+}
+
+/**
  * The prelude of every bench main: --quick, then parseJobs,
- * applySimThreads and applyProfFlags. A bad value prints its
- * `fatal: ...` message on stderr and exits 2, as affalloc_cli does.
+ * applySimThreads and applyProfFlags, under exitOnBadFlag.
  */
 BenchFlags parseBenchFlags(int argc, char **argv);
 

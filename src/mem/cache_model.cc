@@ -1,56 +1,13 @@
 #include "mem/cache_model.hh"
 
-#include <sys/mman.h>
-
 #include <algorithm>
 #include <bit>
-#include <cstring>
 #include <utility>
 
 #include "sim/log.hh"
 
 namespace affalloc::mem
 {
-
-// ---------------------------------------------------------------------
-// TagStore
-// ---------------------------------------------------------------------
-
-TagStore::TagStore(std::size_t bytes) : bytes_(bytes)
-{
-    if (bytes_ == 0)
-        return;
-    base_ = mmap(nullptr, bytes_, PROT_READ | PROT_WRITE,
-                 MAP_PRIVATE | MAP_ANONYMOUS, -1, 0);
-    if (base_ == MAP_FAILED)
-        SIM_FATAL("mem", "cannot map %zu bytes of cache tags", bytes_);
-}
-
-TagStore::TagStore(const TagStore &o) : TagStore(o.bytes_)
-{
-    if (bytes_ != 0)
-        std::memcpy(base_, o.base_, bytes_);
-}
-
-TagStore::TagStore(TagStore &&o) noexcept
-    : base_(std::exchange(o.base_, nullptr)),
-      bytes_(std::exchange(o.bytes_, 0))
-{
-}
-
-TagStore &
-TagStore::operator=(TagStore o) noexcept
-{
-    std::swap(base_, o.base_);
-    std::swap(bytes_, o.bytes_);
-    return *this;
-}
-
-TagStore::~TagStore()
-{
-    if (base_)
-        munmap(base_, bytes_);
-}
 
 // ---------------------------------------------------------------------
 // CacheModel
@@ -74,7 +31,7 @@ CacheModel::CacheModel(std::uint64_t size_bytes, std::uint32_t assoc,
     if (hashed_index && codec_.setBits > TagCodec::hashLoBits)
         SIM_FATAL("mem", "hashed cache index supports at most 2^%u sets",
                   TagCodec::hashLoBits);
-    store_ = TagStore(numWays() * sizeof(std::uint32_t));
+    store_ = sim::ZeroPages(numWays() * sizeof(std::uint32_t));
 }
 
 template <class Entry>
@@ -157,7 +114,7 @@ CacheModel::accessCapped(Addr line, bool is_write, std::uint32_t max_ways)
 void
 CacheModel::widen()
 {
-    TagStore wide(numWays() * sizeof(std::uint64_t));
+    sim::ZeroPages wide(numWays() * sizeof(std::uint64_t));
     const std::uint32_t *from = store_.as<std::uint32_t>();
     std::uint64_t *to = wide.as<std::uint64_t>();
     // Skipping empty ways leaves the pages of untouched sets unbacked.
@@ -249,7 +206,7 @@ CacheModel::checkIntegrity() const
 void
 CacheModel::reset()
 {
-    store_ = TagStore(numWays() * sizeof(std::uint32_t));
+    store_ = sim::ZeroPages(numWays() * sizeof(std::uint32_t));
     wide_ = false;
     residentLines_ = 0;
 }

@@ -13,6 +13,7 @@
 #include <string>
 
 #include "sim/types.hh"
+#include "sim/zero_pages.hh"
 
 namespace affalloc::mem
 {
@@ -94,34 +95,6 @@ struct TagCodec
         return lo | mid << hashLoBits |
                (key >> hashLoBits) << (hashLoBits + setBits);
     }
-};
-
-/**
- * Zero-filled tag storage backed by an anonymous mapping: pages cost
- * no memory until a set on them is first written, and go back to the
- * OS on destruction.
- */
-class TagStore
-{
-  public:
-    TagStore() = default;
-    explicit TagStore(std::size_t bytes);
-    TagStore(const TagStore &o);
-    TagStore(TagStore &&o) noexcept;
-    /** Copy or move, by the argument's construction. */
-    TagStore &operator=(TagStore o) noexcept;
-    ~TagStore();
-
-    template <class T>
-    T *
-    as() const
-    {
-        return static_cast<T *>(base_);
-    }
-
-  private:
-    void *base_ = nullptr;
-    std::size_t bytes_ = 0;
 };
 
 /**
@@ -252,7 +225,7 @@ class CacheModel
     bool wide_ = false;
     std::uint64_t residentLines_ = 0;
     // Set-major, recency-ordered within each set.
-    TagStore store_;
+    sim::ZeroPages store_;
 };
 
 } // namespace affalloc::mem

@@ -10,15 +10,20 @@ namespace affalloc::noc
 {
 
 void
-NetDelta::reset(std::size_t num_entries)
+NetDelta::reset(std::size_t num_pairs)
 {
-    messages.fill(0);
-    hops.fill(0);
-    flitHops.fill(0);
-    degradedLinkFlits = 0;
-    flits = 0;
-    routeShadow = 0;
-    linkFlits.assign(num_entries, 0);
+    if (num_pairs != numPairs_) {
+        pairFlits = sim::ZeroPages(num_pairs * sizeof(std::uint64_t));
+        numPairs_ = num_pairs;
+        // One block up front: growing it while a run's buffers come and
+        // go raised graph's peak RSS by 0.2 MB.
+        pairs.reserve(num_pairs);
+    } else if (std::uint64_t *by_pair = pairFlits.as<std::uint64_t>()) {
+        for (const std::uint32_t p : pairs)
+            by_pair[p] = 0;
+    }
+    pairs.clear();
+    entryFlits.clear();
 }
 
 Network::Network(const sim::MachineConfig &cfg, sim::Stats &stats)
@@ -43,6 +48,14 @@ Network::Network(const sim::MachineConfig &cfg, sim::Stats &stats)
         }
         routeOffset_.back() = static_cast<std::uint32_t>(routeLinks_.size());
     }
+    pending_.reset(pairSlots());
+}
+
+void
+Network::setFaultPlan(const sim::FaultPlan *plan)
+{
+    flush();
+    faults_ = plan;
 }
 
 std::uint32_t
@@ -57,150 +70,122 @@ Network::ejectPort(TileId tile) const
     return mesh_.numLinks() + 2 * tile + 1;
 }
 
-/** The shared counters behind the NetDelta charge interface. */
-struct Network::Live
-{
-    Network &n;
-
-    void
-    addMessage(int tc, std::uint32_t hop_count, std::uint32_t flits)
-    {
-        n.stats_.messages[tc] += 1;
-        n.stats_.hops[tc] += hop_count;
-        n.stats_.flitHops[tc] += std::uint64_t(flits) * hop_count;
-    }
-    void
-    addDegraded(std::uint64_t extra)
-    {
-        n.stats_.degradedLinkFlits += extra;
-    }
-    void
-    addRouteLink(LinkId link, std::uint64_t charged)
-    {
-        addLink(link, charged);
-        n.epochRouteFlitsShadow_ += charged;
-    }
-    void
-    addPorts(std::uint32_t inject, std::uint32_t eject, std::uint32_t flits)
-    {
-        addLink(inject, flits);
-        addLink(eject, flits);
-        n.epochFlits_ += flits;
-    }
-    void
-    addLink(std::size_t index, std::uint64_t flits)
-    {
-        n.epochLinkFlits_[index] += flits;
-        n.lifetimeLinkFlits_[index] += flits;
-        n.noteEpochFlits(index);
-    }
-};
-
-template <class Target>
-void
-Network::charge(TileId src, TileId dst, std::uint32_t bytes, TrafficClass tc,
-                Target &to) const
-{
-    const std::uint32_t hop_count = mesh_.distance(src, dst);
-    const std::uint32_t flits = flitsFor(bytes);
-    to.addMessage(static_cast<int>(tc), hop_count, flits);
-    if (hop_count != 0) {
-        chargeRoute(src, dst, flits, to);
-        // Endpoint local ports: one tile can inject/eject at most one
-        // flit per cycle, which bounds hot endpoints (e.g. a core
-        // sinking every response, or a contended tail-pointer bank).
-        to.addPorts(injectPort(src), ejectPort(dst), flits);
-    }
-}
-
-template <class Target>
-void
-Network::chargeLink(LinkId link, std::uint32_t flits, Target &to) const
-{
-    std::uint64_t charged = flits;
-    if (faults_ != nullptr) {
-        const std::uint32_t mult = faults_->linkFlitMultiplier(link);
-        if (mult > 1) {
-            charged = std::uint64_t(flits) * mult;
-            to.addDegraded(charged - flits);
-        }
-    }
-    to.addRouteLink(link, charged);
-}
-
-template <class Target>
-void
-Network::chargeRoute(TileId src, TileId dst, std::uint32_t flits,
-                     Target &to) const
-{
-    if (!routeOffset_.empty()) {
-        const std::size_t pair = std::size_t(src) * mesh_.numTiles() + dst;
-        const std::uint32_t end = routeOffset_[pair + 1];
-        for (std::uint32_t i = routeOffset_[pair]; i < end; ++i)
-            chargeLink(routeLinks_[i], flits, to);
-        return;
-    }
-    // Large-mesh path: walk the X-Y coordinates.
-    std::uint32_t x = mesh_.xOf(src);
-    std::uint32_t y = mesh_.yOf(src);
-    const std::uint32_t tx = mesh_.xOf(dst);
-    const std::uint32_t ty = mesh_.yOf(dst);
-    while (x != tx) {
-        const Direction dir = x < tx ? Direction::east : Direction::west;
-        chargeLink(Mesh::linkOf(mesh_.tileAt(x, y), dir), flits, to);
-        x = x < tx ? x + 1 : x - 1;
-    }
-    while (y != ty) {
-        const Direction dir = y < ty ? Direction::south : Direction::north;
-        chargeLink(Mesh::linkOf(mesh_.tileAt(x, y), dir), flits, to);
-        y = y < ty ? y + 1 : y - 1;
-    }
-}
-
 Cycles
 Network::send(TileId src, TileId dst, std::uint32_t bytes, TrafficClass tc)
 {
-    Live live{*this};
-    charge(src, dst, bytes, tc, live);
-    return latencyOf(src, dst, bytes);
+    if (pending_.empty())
+        pendingLinkVersion_ = linkVersion();
+    const Cycles latency = send(src, dst, bytes, tc, stats_, pending_);
+    if (pairSlots() == 0)
+        flush();
+    return latency;
 }
 
 Cycles
 Network::send(TileId src, TileId dst, std::uint32_t bytes, TrafficClass tc,
-              NetDelta &d) const
+              sim::Stats &stats, NetDelta &d) const
 {
-    charge(src, dst, bytes, tc, d);
-    return latencyOf(src, dst, bytes);
+    const std::uint32_t hop_count = mesh_.distance(src, dst);
+    const std::uint32_t flits = flitsFor(bytes);
+    const int c = static_cast<int>(tc);
+    stats.messages[c] += 1;
+    stats.hops[c] += hop_count;
+    stats.flitHops[c] += std::uint64_t(flits) * hop_count;
+    if (hop_count != 0)
+        d.add(src * mesh_.numTiles() + dst, flits);
+    return latencyOf(hop_count, flits);
 }
 
 void
 Network::mergeDelta(const NetDelta &d)
 {
     PROF_SCOPE("noc/net.merge_delta");
-    for (int c = 0; c < numTrafficClasses; ++c) {
-        stats_.messages[c] += d.messages[c];
-        stats_.hops[c] += d.hops[c];
-        stats_.flitHops[c] += d.flitHops[c];
-    }
-    stats_.degradedLinkFlits += d.degradedLinkFlits;
-    for (std::size_t i = 0; i < epochLinkFlits_.size(); ++i) {
-        epochLinkFlits_[i] += d.linkFlits[i];
-        lifetimeLinkFlits_[i] += d.linkFlits[i];
-    }
-    epochFlits_ += d.flits;
-    epochRouteFlitsShadow_ += d.routeShadow;
+    if (pending_.empty())
+        pendingLinkVersion_ = linkVersion();
+    for (std::size_t i = 0; i < d.pairs.size(); ++i)
+        pending_.add(d.pairs[i], d.flitsAt(i));
+    if (pairSlots() == 0)
+        flush();
 }
 
 void
-Network::refreshEpochMax()
+Network::flush()
 {
-    epochMaxLinkFlits_ =
-        *std::max_element(epochLinkFlits_.begin(), epochLinkFlits_.end());
+    if (pending_.empty())
+        return;
+    SIM_CHECK("noc", linkVersion() == pendingLinkVersion_,
+              "a link multiplier changed while %zu (src, dst) pairs were "
+              "pending; flush() before degrading a link",
+              pending_.pairs.size());
+    const std::uint32_t nt = mesh_.numTiles();
+    for (std::size_t i = 0; i < pending_.pairs.size(); ++i) {
+        const std::uint32_t pair = pending_.pairs[i];
+        const std::uint64_t flits = pending_.flitsAt(i);
+        chargeRoute(pair, flits);
+        // Endpoint local ports: one tile can inject/eject at most one
+        // flit per cycle, which bounds hot endpoints (e.g. a core
+        // sinking every response, or a contended tail-pointer bank).
+        addLink(injectPort(pair / nt), flits);
+        addLink(ejectPort(pair % nt), flits);
+        epochFlits_ += flits;
+    }
+    pending_.reset(pairSlots());
+}
+
+void
+Network::addLink(std::size_t index, std::uint64_t flits)
+{
+    epochLinkFlits_[index] += flits;
+    lifetimeLinkFlits_[index] += flits;
+    epochMaxLinkFlits_ = std::max(epochMaxLinkFlits_, epochLinkFlits_[index]);
+}
+
+void
+Network::chargeLink(LinkId link, std::uint64_t flits)
+{
+    std::uint64_t charged = flits;
+    if (faults_ != nullptr) {
+        const std::uint32_t mult = faults_->linkFlitMultiplier(link);
+        if (mult > 1) {
+            charged = flits * mult;
+            stats_.degradedLinkFlits += charged - flits;
+        }
+    }
+    addLink(link, charged);
+    epochRouteFlitsShadow_ += charged;
+}
+
+void
+Network::chargeRoute(std::uint32_t pair, std::uint64_t flits)
+{
+    if (!routeOffset_.empty()) {
+        const std::uint32_t end = routeOffset_[pair + 1];
+        for (std::uint32_t i = routeOffset_[pair]; i < end; ++i)
+            chargeLink(routeLinks_[i], flits);
+        return;
+    }
+    // Large-mesh path: walk the X-Y coordinates.
+    const std::uint32_t nt = mesh_.numTiles();
+    std::uint32_t x = mesh_.xOf(pair / nt);
+    std::uint32_t y = mesh_.yOf(pair / nt);
+    const std::uint32_t tx = mesh_.xOf(pair % nt);
+    const std::uint32_t ty = mesh_.yOf(pair % nt);
+    while (x != tx) {
+        const Direction dir = x < tx ? Direction::east : Direction::west;
+        chargeLink(Mesh::linkOf(mesh_.tileAt(x, y), dir), flits);
+        x = x < tx ? x + 1 : x - 1;
+    }
+    while (y != ty) {
+        const Direction dir = y < ty ? Direction::south : Direction::north;
+        chargeLink(Mesh::linkOf(mesh_.tileAt(x, y), dir), flits);
+        y = y < ty ? y + 1 : y - 1;
+    }
 }
 
 std::uint64_t
-Network::totalLinkFlits() const
+Network::totalLinkFlits()
 {
+    flush();
     return std::accumulate(epochLinkFlits_.begin(), epochLinkFlits_.end(),
                            std::uint64_t(0));
 }
@@ -208,6 +193,7 @@ Network::totalLinkFlits() const
 void
 Network::resetEpoch()
 {
+    flush();
     std::fill(epochLinkFlits_.begin(), epochLinkFlits_.end(), 0);
     epochFlits_ = 0;
     epochMaxLinkFlits_ = 0;
@@ -215,8 +201,9 @@ Network::resetEpoch()
 }
 
 void
-Network::auditConservation(simcheck::CheckContext &ctx) const
+Network::auditConservation(simcheck::CheckContext &ctx)
 {
+    flush();
     std::uint64_t route = 0;
     for (std::uint32_t l = 0; l < mesh_.numLinks(); ++l)
         route += epochLinkFlits_[l];
@@ -249,12 +236,14 @@ Network::corruptLinkFlitsForTest(std::uint32_t index, std::int64_t delta)
 {
     SIM_CHECK("noc", index < epochLinkFlits_.size(),
               "corruptLinkFlitsForTest: index %u out of range", index);
+    flush();
     epochLinkFlits_[index] =
         static_cast<std::uint64_t>(
             static_cast<std::int64_t>(epochLinkFlits_[index]) + delta);
-    // A corruption may lower the busiest entry; the running max must
-    // track the counters it summarizes.
-    refreshEpochMax();
+    // A corruption may lower the busiest entry; the max must track the
+    // counters it summarizes.
+    epochMaxLinkFlits_ =
+        *std::max_element(epochLinkFlits_.begin(), epochLinkFlits_.end());
 }
 
 } // namespace affalloc::noc

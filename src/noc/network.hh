@@ -17,70 +17,83 @@
 #include "sim/fault.hh"
 #include "sim/simcheck.hh"
 #include "sim/stats.hh"
+#include "sim/zero_pages.hh"
 
 namespace affalloc::noc
 {
 
 /**
- * Private traffic accumulator for shard-parallel epoch replay: one
- * replay worker charges all of its shard's messages here instead of
- * the shared counters, and the machine folds the deltas back in fixed
- * worker order at the epoch barrier. Network::send() charges a message
- * through the same body into either this or the shared counters, so
- * every field holds exactly the integers the shared counters would
- * have gained, and the fold is exact regardless of which worker
+ * Flits sent but not yet charged to links, per (src, dst) tile pair.
+ * Network::send() only adds a message's flits to its pair here;
+ * Network::flush() expands the pairs onto their route links once, so
+ * a pair carrying many messages in one epoch walks its route once.
+ * The network keeps one as its pending store, and each shard-parallel
+ * replay worker fills its own, which Network::mergeDelta() folds into
+ * the pending store in fixed worker order at the epoch barrier. Every
+ * count is an integer sum, so the fold is exact whichever worker
  * carried which message.
  */
 struct NetDelta
 {
-    /** Per-class message counters (mirror sim::Stats). */
-    std::array<std::uint64_t, numTrafficClasses> messages{};
-    std::array<std::uint64_t, numTrafficClasses> hops{};
-    std::array<std::uint64_t, numTrafficClasses> flitHops{};
-    /** Extra flits charged on degraded links (Stats counter). */
-    std::uint64_t degradedLinkFlits = 0;
-    /** Flits injected (epochFlits_ contribution). */
-    std::uint64_t flits = 0;
-    /** Route-link conservation shadow contribution. */
-    std::uint64_t routeShadow = 0;
+    /** Pairs (src * numTiles + dst) with pending flits, first-send order. */
+    std::vector<std::uint32_t> pairs;
     /**
-     * Per-link/port flit deltas, indexed like epochLinkFlits_. The
-     * same delta feeds the epoch and the lifetime counters (send()
-     * charges both identically).
+     * Indexed store: pending flits per pair, in mapped pages (a store
+     * rebuilt with every machine would otherwise fragment the heap).
+     * Empty when the mesh has no pair index (Network::pairSlots() ==
+     * 0); then every add is an entry of its own, with its flits in
+     * entryFlits.
      */
-    std::vector<std::uint64_t> linkFlits;
+    sim::ZeroPages pairFlits;
+    std::vector<std::uint64_t> entryFlits;
 
-    /** Zero all counters, sizing linkFlits to @p num_entries. */
-    void reset(std::size_t num_entries);
+    /** Drop every entry; index @p num_pairs pairs (0: no index). */
+    void reset(std::size_t num_pairs);
 
-    // The charge interface Network::send() writes through.
+    bool empty() const { return pairs.empty(); }
+
     void
-    addMessage(int tc, std::uint32_t hop_count, std::uint32_t msg_flits)
+    add(std::uint32_t pair, std::uint64_t n)
     {
-        messages[tc] += 1;
-        hops[tc] += hop_count;
-        flitHops[tc] += std::uint64_t(msg_flits) * hop_count;
+        std::uint64_t *by_pair = pairFlits.as<std::uint64_t>();
+        if (by_pair == nullptr) {
+            pairs.push_back(pair);
+            entryFlits.push_back(n);
+            return;
+        }
+        if (by_pair[pair] == 0)
+            pairs.push_back(pair);
+        by_pair[pair] += n;
     }
-    void addDegraded(std::uint64_t extra) { degradedLinkFlits += extra; }
-    void
-    addRouteLink(LinkId link, std::uint64_t charged)
+
+    /** Flits pending for entry @p i of pairs. */
+    std::uint64_t
+    flitsAt(std::size_t i) const
     {
-        linkFlits[link] += charged;
-        routeShadow += charged;
+        const std::uint64_t *by_pair = pairFlits.as<std::uint64_t>();
+        return by_pair ? by_pair[pairs[i]] : entryFlits[i];
     }
-    void
-    addPorts(std::uint32_t inject, std::uint32_t eject,
-             std::uint32_t msg_flits)
-    {
-        linkFlits[inject] += msg_flits;
-        linkFlits[eject] += msg_flits;
-        flits += msg_flits;
-    }
+
+  private:
+    /** Pairs pairFlits indexes. */
+    std::size_t numPairs_ = 0;
 };
 
 /**
  * The interconnect model. Owns per-link epoch occupancy counters and
  * writes traffic statistics into a shared Stats block.
+ *
+ * Link counters are charged lazily: send() counts the message in the
+ * per-class Stats at once but only adds its flits to a pending
+ * (src, dst) pair. flush() expands the pending pairs onto the route
+ * links, the endpoint ports, the lifetime counters and
+ * Stats::degradedLinkFlits. Every reader of those counters flushes
+ * first, and so must anyone who changes a link multiplier or rewinds
+ * Stats. nsc::Machine flushes at endEpoch, before injectLinkDegrade,
+ * after any send outside an open epoch, and in abortEpoch before its
+ * Stats rewind: the rewind then takes back the aborted epoch's
+ * degraded-link flits while the lifetime link counters keep its
+ * traffic, as they did when every message was charged at once.
  */
 class Network
 {
@@ -93,14 +106,17 @@ class Network
 
     /**
      * Attach a fault plan; degraded links occupy proportionally more
-     * flit-cycles per message. Pass nullptr to detach.
+     * flit-cycles per message. Pass nullptr to detach. Flushes first.
+     * A multiplier may only change while nothing is pending: flush()
+     * panics when it finds one changed since its pairs were added.
      */
-    void setFaultPlan(const sim::FaultPlan *plan) { faults_ = plan; }
+    void setFaultPlan(const sim::FaultPlan *plan);
 
     /**
      * Inject one message of @p bytes payload from @p src to @p dst.
-     * Charges flits to every link of the X-Y route and updates the
-     * per-class counters. Local (src == dst) messages cost no hops.
+     * Counts it in the per-class counters and adds its flits to the
+     * pending (src, dst) pair. Local (src == dst) messages cost no
+     * hops.
      *
      * @return latencyOf(src, dst, bytes)
      */
@@ -108,12 +124,12 @@ class Network
                 TrafficClass tc);
 
     /**
-     * send() charged into @p d instead of the shared counters
-     * (shard-parallel epoch replay). Thread-safe: reads only immutable
-     * routing state and the fault plan's stable multipliers.
+     * send() counted into @p stats and @p d instead of the shared
+     * counters (shard-parallel epoch replay). Thread-safe: reads only
+     * immutable routing state.
      */
     Cycles send(TileId src, TileId dst, std::uint32_t bytes,
-                TrafficClass tc, NetDelta &d) const;
+                TrafficClass tc, sim::Stats &stats, NetDelta &d) const;
 
     /**
      * The unloaded latency of a message: route traversal plus
@@ -124,34 +140,51 @@ class Network
     Cycles
     latencyOf(TileId src, TileId dst, std::uint32_t bytes) const
     {
-        return Cycles(mesh_.distance(src, dst)) * cfg_.hopLatency +
-               (flitsFor(bytes) - 1);
+        return latencyOf(mesh_.distance(src, dst), flitsFor(bytes));
     }
 
-    /** Number of entries a NetDelta's linkFlits needs for this mesh. */
-    std::size_t numLinkEntries() const { return epochLinkFlits_.size(); }
+    /** Pairs a NetDelta indexes on this mesh (NetDelta::reset). */
+    std::size_t
+    pairSlots() const
+    {
+        return routeOffset_.empty() ? 0 : routeOffset_.size() - 1;
+    }
 
     /**
-     * Fold one replay worker's delta into the shared counters. Called
-     * in fixed worker order at the epoch barrier; integer adds, so the
-     * result equals serial execution. Call refreshEpochMax() after the
-     * last fold.
+     * Fold one replay worker's pairs into the pending store. Called in
+     * fixed worker order at the epoch barrier; integer adds, so the
+     * result equals serial execution.
      */
     void mergeDelta(const NetDelta &d);
 
-    /** Recompute the running epoch max by scanning (post-merge). */
-    void refreshEpochMax();
+    /**
+     * Expand every pending pair onto its route links (with their
+     * degraded-link multipliers), both endpoint ports, the lifetime
+     * counters and Stats::degradedLinkFlits, then clear the pending
+     * store.
+     */
+    void flush();
 
     /** Flits queued on the busiest link during the current epoch. */
-    std::uint64_t maxLinkFlits() const { return epochMaxLinkFlits_; }
+    std::uint64_t
+    maxLinkFlits()
+    {
+        flush();
+        return epochMaxLinkFlits_;
+    }
 
     /** Total flits injected during the current epoch. */
-    std::uint64_t epochFlits() const { return epochFlits_; }
+    std::uint64_t
+    epochFlits()
+    {
+        flush();
+        return epochFlits_;
+    }
 
     /** Sum of per-link epoch occupancy (for utilization reporting). */
-    std::uint64_t totalLinkFlits() const;
+    std::uint64_t totalLinkFlits();
 
-    /** Clear per-epoch link occupancy (call at epoch boundaries). */
+    /** Flush, then clear per-epoch link occupancy (epoch boundaries). */
     void resetEpoch();
 
     /** Number of flits a payload of @p bytes occupies. */
@@ -163,18 +196,20 @@ class Network
     }
 
     /** Accumulated per-link flits over the whole run (utilization). */
-    const std::vector<std::uint64_t> &lifetimeLinkFlits() const
+    const std::vector<std::uint64_t> &
+    lifetimeLinkFlits()
     {
+        flush();
         return lifetimeLinkFlits_;
     }
 
     /**
      * SimCheck audit: flit conservation for the current epoch. The
-     * route-link occupancy must equal what chargeLink() handed out
-     * (no lost or duplicated flits), and every flit injected at a
-     * source port must have been ejected at a destination port.
+     * route-link occupancy must equal what flush() handed out (no
+     * lost or duplicated flits), and every flit injected at a source
+     * port must have been ejected at a destination port.
      */
-    void auditConservation(simcheck::CheckContext &ctx) const;
+    void auditConservation(simcheck::CheckContext &ctx);
 
     /**
      * Deliberately corrupt one per-epoch link counter (simcheck tests
@@ -184,37 +219,28 @@ class Network
     void corruptLinkFlitsForTest(std::uint32_t index, std::int64_t delta);
 
   private:
-    /** Largest mesh for which the route table is precomputed. */
+    /** Largest mesh for which routes and pairs are indexed. */
     static constexpr std::uint32_t routeTableMaxTiles = 256;
 
-    /** The shared counters as a charge target (the NetDelta interface). */
-    struct Live;
-
-    /**
-     * Charge one message into @p to: the per-class counters, every
-     * route link and both endpoint ports. The one body behind both
-     * send() overloads.
-     */
-    template <class Target>
-    void charge(TileId src, TileId dst, std::uint32_t bytes,
-                TrafficClass tc, Target &to) const;
-    /**
-     * Charge @p flits to every link of the X-Y route, from the route
-     * table or, beyond routeTableMaxTiles, by walking the coordinates.
-     */
-    template <class Target>
-    void chargeRoute(TileId src, TileId dst, std::uint32_t flits,
-                     Target &to) const;
-    /** Charge one link, applying any degraded-link multiplier. */
-    template <class Target>
-    void chargeLink(LinkId link, std::uint32_t flits, Target &to) const;
-
-    /** Keep the running epoch max current for one charged entry. */
-    void
-    noteEpochFlits(std::size_t index)
+    /** latencyOf() for a route of @p hops links carrying @p flits. */
+    Cycles
+    latencyOf(std::uint32_t hops, std::uint32_t flits) const
     {
-        if (epochLinkFlits_[index] > epochMaxLinkFlits_)
-            epochMaxLinkFlits_ = epochLinkFlits_[index];
+        return Cycles(hops) * cfg_.hopLatency + (flits - 1);
+    }
+
+    /** Charge @p flits to every link of the X-Y route of @p pair. */
+    void chargeRoute(std::uint32_t pair, std::uint64_t flits);
+    /** Charge one route link, applying any degraded-link multiplier. */
+    void chargeLink(LinkId link, std::uint64_t flits);
+    /** Add to one epoch and lifetime counter; track the epoch max. */
+    void addLink(std::size_t index, std::uint64_t flits);
+
+    /** The fault plan's link-multiplier version (0 without a plan). */
+    std::uint64_t
+    linkVersion() const
+    {
+        return faults_ ? faults_->linkVersion() : 0;
     }
 
     /** Index of @p tile's injection (local in) port counter. */
@@ -227,6 +253,14 @@ class Network
     Mesh mesh_;
     /** Optional fault plan (not owned); degraded-link multipliers. */
     const sim::FaultPlan *faults_ = nullptr;
+    /**
+     * Flits sent but not yet on any link counter. Beyond
+     * routeTableMaxTiles it has no pair index and zero capacity:
+     * send() and mergeDelta() flush at once.
+     */
+    NetDelta pending_;
+    /** linkVersion() when the first pending pair was added. */
+    std::uint64_t pendingLinkVersion_ = 0;
     /** Per-directed-link (and per local port) flits this epoch. The
      *  last 2*numTiles entries are the tile injection/ejection ports:
      *  the router-local interfaces every message crosses at its two
@@ -237,10 +271,10 @@ class Network
     std::vector<std::uint64_t> lifetimeLinkFlits_;
     std::uint64_t epochFlits_ = 0;
     /**
-     * Running maximum over epochLinkFlits_, maintained at charge time
-     * so endEpoch() reads the bottleneck without scanning ~350
-     * counters per epoch. Occupancy only grows within an epoch, so
-     * the running max equals the scan.
+     * Maximum over epochLinkFlits_, raised by flush() as it expands
+     * each entry, so endEpoch() reads the bottleneck without scanning
+     * ~350 counters. Occupancy only grows within an epoch, so the
+     * maximum over the entries each flush touched equals the scan.
      */
     std::uint64_t epochMaxLinkFlits_ = 0;
     /** Shadow sum of everything chargeLink() handed to route links

@@ -134,10 +134,10 @@ struct ReplayDelta
     std::vector<std::uint64_t> dramChannel;
 
     void
-    reset(std::size_t net_entries, std::uint32_t channels)
+    reset(std::size_t net_pairs, std::uint32_t channels)
     {
         stats = sim::Stats{};
-        net.reset(net_entries);
+        net.reset(net_pairs);
         dramChannel.assign(channels, 0);
     }
 };

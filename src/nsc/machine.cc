@@ -143,6 +143,7 @@ Machine::setActiveClass(AgentClass c)
 {
     // Flush everything charged since the last flush to the class that
     // was active while it accrued, then switch.
+    net_.flush();
     classStats_[static_cast<int>(activeClass_)] +=
         stats_ - classAttribSnap_;
     classAttribSnap_ = stats_;
@@ -290,6 +291,10 @@ Machine::abortEpoch()
     // accumulators are wiped right below.
     if (deferActive_)
         replayDeferred(/*commit=*/false);
+    // Expand the pending NoC pairs before the rewind: the lifetime link
+    // counters keep the aborted traffic, while the degraded-link flits
+    // the expansion adds to stats_ are rewound with the other Stats.
+    net_.flush();
     // The restore rewinds every counter to the beginEpoch() snapshot;
     // carry the abort count itself across it so degradation stays
     // observable.
@@ -328,6 +333,9 @@ Machine::endEpoch(double latency_floor, const std::string &phase)
     }
     if (deferActive_)
         replayDeferred(/*commit=*/true);
+    // Expand the epoch's pending NoC pairs onto the links: the link
+    // term and the class attribution below read what they charge.
+    net_.flush();
     // The busy maxima are maintained at charge time (and by the replay
     // barrier), so closing the epoch no longer rescans every per-bank
     // accumulator and link counter. Class arbitration stretches only
@@ -559,7 +567,7 @@ struct Machine::InlineSink
     send(BankId, TileId src, TileId dst, std::uint32_t bytes,
          TrafficClass tc)
     {
-        return m.net_.send(src, dst, bytes, tc);
+        return m.sendLive(src, dst, bytes, tc);
     }
     Cycles
     dram(Addr line, bool is_write)
@@ -653,7 +661,7 @@ struct Machine::DeltaCounters
     send(BankId, TileId src, TileId dst, std::uint32_t bytes,
          TrafficClass tc)
     {
-        return m.net_.send(src, dst, bytes, tc, d.net);
+        return m.net_.send(src, dst, bytes, tc, d.stats, d.net);
     }
     /** Counted per channel; Dram::chargeDeferred folds the occupancy. */
     Cycles
@@ -717,6 +725,16 @@ Machine::withSink(Body &&body)
 }
 
 Cycles
+Machine::sendLive(TileId src, TileId dst, std::uint32_t bytes,
+                  TrafficClass tc)
+{
+    const Cycles latency = net_.send(src, dst, bytes, tc);
+    if (!inEpoch_)
+        net_.flush();
+    return latency;
+}
+
+Cycles
 Machine::send(BankId queue_bank, TileId src, TileId dst,
               std::uint32_t bytes, TrafficClass tc)
 {
@@ -749,9 +767,9 @@ Machine::ioWrite(TileId ingress, Addr vaddr, std::uint32_t bytes)
             // occupancy is untouched.
             const std::uint32_t ch = dram_.channelOf(pline);
             const TileId ctrl = dram_.controllerTile(ch);
-            total += net_.send(ingress, ctrl,
-                               cfg_.lineSize + tp_.controlBytes,
-                               TrafficClass::data);
+            total += sendLive(ingress, ctrl,
+                              cfg_.lineSize + tp_.controlBytes,
+                              TrafficClass::data);
             total += dram_.access(pline, true);
             continue;
         }
@@ -760,9 +778,9 @@ Machine::ioWrite(TileId ingress, Addr vaddr, std::uint32_t bytes)
         // allocation needs no DRAM fill (the device supplies the full
         // line); only dirty victims travel to memory.
         const BankId home = mapper_.bankOf(paddr);
-        total += net_.send(ingress, bankTile_[home],
-                           cfg_.lineSize + tp_.controlBytes,
-                           TrafficClass::data);
+        total += sendLive(ingress, bankTile_[home],
+                          cfg_.lineSize + tp_.controlBytes,
+                          TrafficClass::data);
         stats_.l3Accesses += 1;
         chargeBankBusy(home, tp_.l3ServiceCycles);
         const auto res =
@@ -1022,6 +1040,8 @@ Machine::injectBankFault(BankId b)
 void
 Machine::injectLinkDegrade(std::uint32_t link, std::uint32_t factor)
 {
+    // Traffic sent so far is charged at the old multiplier.
+    net_.flush();
     if (os_.faultPlan().degradeLink(link, factor) && tracer_) {
         tracer_->machineInstant(
             "link-degrade", stats_.cycles,
@@ -1092,7 +1112,7 @@ Machine::noteAtomicStream(BankId bank)
 }
 
 double
-Machine::nocUtilization() const
+Machine::nocUtilization()
 {
     if (stats_.cycles == 0)
         return 0.0;
@@ -1165,7 +1185,7 @@ Machine::replayBankEvents(BankId b, ReplayDelta &d)
             break;
         case BankEvent::netSend:
             net_.send(ev.src, ev.dst, ev.arg,
-                      static_cast<TrafficClass>(ev.flags), d.net);
+                      static_cast<TrafficClass>(ev.flags), d.stats, d.net);
             break;
         }
     }
@@ -1202,13 +1222,13 @@ Machine::replayDeferred(bool commit)
     // its queues in serial-projected order. The static shard -> worker
     // map keeps a shard on the same thread across epochs (warm caches,
     // and a stable home if AFFALLOC_SIM_PIN pins workers to CPUs).
-    const std::size_t net_entries = net_.numLinkEntries();
+    const std::size_t net_pairs = net_.pairSlots();
     const std::uint32_t channels = cfg_.dramChannels;
     {
         PROF_SCOPE("machine/epoch.replay/wave1");
         pool_->dispatch([&](unsigned w) {
             ReplayDelta &d = replayDeltas_[w];
-            d.reset(net_entries, channels);
+            d.reset(net_pairs, channels);
             const auto b0 = static_cast<std::uint32_t>(
                 std::uint64_t(banks) * w / T);
             const auto b1 = static_cast<std::uint32_t>(
@@ -1233,7 +1253,6 @@ Machine::replayDeferred(bool commit)
             for (std::uint32_t ch = 0; ch < channels; ++ch)
                 dramDeferred_[ch] += d.dramChannel[ch];
         }
-        net_.refreshEpochMax();
         dram_.chargeDeferred(dramDeferred_);
     }
 

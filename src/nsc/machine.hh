@@ -331,7 +331,7 @@ class Machine
 
     // -------------------------------------------------------- utilization
     /** Average NoC link utilization over the whole run, in [0,1]. */
-    double nocUtilization() const;
+    double nocUtilization();
 
     /** Resident lines currently tracked in bank @p b (tests). */
     const mem::CacheModel &l3Bank(BankId b) const { return l3Banks_.at(b); }
@@ -404,6 +404,13 @@ class Machine
      */
     Cycles send(BankId queue_bank, TileId src, TileId dst,
                 std::uint32_t bytes, TrafficClass tc);
+    /**
+     * Send one message on the live network. Outside an open epoch it
+     * is charged to the links at once, so no pending (src, dst) pair
+     * outlives an epoch and Stats are exact between epochs.
+     */
+    Cycles sendLive(TileId src, TileId dst, std::uint32_t bytes,
+                    TrafficClass tc);
 
     /**
      * Probe L3 at the line's home bank; on miss fetch from DRAM

@@ -319,6 +319,7 @@ FaultPlan::degradeLink(std::uint32_t link, std::uint32_t factor)
     else if (linkMult_[link] > 1 && factor == 1)
         --degradedCount_;
     linkMult_[link] = factor;
+    ++linkVersion_;
     return true;
 }
 

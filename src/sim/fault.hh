@@ -247,6 +247,12 @@ class FaultPlan
      * changed (false: link already at that factor).
      */
     bool degradeLink(std::uint32_t link, std::uint32_t factor);
+    /**
+     * Monotonic counter bumped whenever a link multiplier changes
+     * (degradeLink). noc::Network checks that it did not move while
+     * traffic was waiting to be charged at the old multipliers.
+     */
+    std::uint64_t linkVersion() const { return linkVersion_; }
 
     /**
      * Monotonic counter bumped whenever the bank -> served-bank
@@ -293,6 +299,7 @@ class FaultPlan
     std::uint32_t offlineCount_ = 0;
     std::uint32_t degradedCount_ = 0;
     std::uint64_t redirectVersion_ = 0;
+    std::uint64_t linkVersion_ = 0;
 };
 
 } // namespace affalloc::sim

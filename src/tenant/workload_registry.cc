@@ -1,9 +1,10 @@
 #include "tenant/workload_registry.hh"
 
-#include <cstdlib>
+#include <cstdint>
 
 #include "graph/generators.hh"
 #include "sim/log.hh"
+#include "sim/parse.hh"
 #include "workloads/affine_workloads.hh"
 #include "workloads/graph_workloads.hh"
 #include "workloads/pointer_workloads.hh"
@@ -220,6 +221,8 @@ workloadRunner(const std::string &name)
 std::vector<TenantSpec>
 parseTenantSpecs(const std::string &spec)
 {
+    // More instances of one entry than this are a typo.
+    constexpr std::uint64_t maxInstances = 1024;
     std::vector<TenantSpec> out;
     std::size_t pos = 0;
     while (pos <= spec.size()) {
@@ -248,22 +251,13 @@ parseTenantSpecs(const std::string &spec)
                                         : c2 - c1 - 1);
             const std::string weightStr =
                 c2 == std::string::npos ? "" : item.substr(c2 + 1);
-            char *end = nullptr;
-            count = std::strtoull(countStr.c_str(), &end, 10);
-            if (countStr.empty() || *end != '\0' || count == 0) {
-                SIM_FATAL("tenant",
-                          "bad instance count '%s' in tenant entry "
-                          "'%s' (want a positive integer)",
-                          countStr.c_str(), item.c_str());
-            }
+            const std::string origin = "tenant entry '" + item + "' ";
+            count = sim::parseCount("tenant", (origin + "count").c_str(),
+                                    countStr, maxInstances, 1);
             if (!weightStr.empty()) {
-                weight = std::strtoull(weightStr.c_str(), &end, 10);
-                if (*end != '\0' || weight == 0) {
-                    SIM_FATAL("tenant",
-                              "bad weight '%s' in tenant entry '%s' "
-                              "(want a positive integer)",
-                              weightStr.c_str(), item.c_str());
-                }
+                weight = sim::parseCount("tenant",
+                                         (origin + "weight").c_str(),
+                                         weightStr, UINT32_MAX, 1);
             } else if (c2 != std::string::npos) {
                 SIM_FATAL("tenant", "trailing ':' in tenant entry '%s'",
                           item.c_str());

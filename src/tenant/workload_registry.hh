@@ -60,9 +60,9 @@ RunnerFn workloadRunner(const std::string &name);
 /**
  * Parse a tenant spec such as "bfs:2,vecadd:1" into one TenantSpec
  * per instance. Grammar: `name[:count[:weight]]` comma-separated;
- * count expands to that many instances, weight defaults to 1.
- * Malformed specs and unknown workload names SIM_FATAL with the list
- * of valid names.
+ * count (1..1024) expands to that many instances, weight defaults to
+ * 1; both are strict counts (sim::parseCount). Malformed specs and
+ * unknown workload names SIM_FATAL with the list of valid names.
  */
 std::vector<TenantSpec> parseTenantSpecs(const std::string &spec);
 

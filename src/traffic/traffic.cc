@@ -1,9 +1,9 @@
 #include "traffic/traffic.hh"
 
 #include <algorithm>
-#include <cstdlib>
 
 #include "sim/log.hh"
+#include "sim/parse.hh"
 #include "sim/rng.hh"
 #include "workloads/run_context.hh"
 
@@ -18,22 +18,6 @@ bool
 drainRequested(const workloads::RunContext &ctx)
 {
     return ctx.config.stopRequested && *ctx.config.stopRequested;
-}
-
-/** Strictly parse a non-negative real; SIM_FATAL on garbage. */
-double
-parseReal(const char *flag, const std::string &text)
-{
-    if (text.empty())
-        SIM_FATAL("traffic", "%s needs a value", flag);
-    char *end = nullptr;
-    const double v = std::strtod(text.c_str(), &end);
-    if (end != text.c_str() + text.size())
-        SIM_FATAL("traffic", "%s expects a number, got '%s'", flag,
-                  text.c_str());
-    if (v < 0.0)
-        SIM_FATAL("traffic", "%s must be >= 0, got %g", flag, v);
-    return v;
 }
 
 } // namespace
@@ -149,33 +133,6 @@ makeBackgroundSpecs(const TrafficConfig &cfg)
     return specs;
 }
 
-std::uint32_t
-parseAgentCount(const char *flag, const std::string &text,
-                std::uint32_t max)
-{
-    if (text.empty())
-        SIM_FATAL("traffic", "%s needs a value", flag);
-    if (text.size() > 9)
-        SIM_FATAL("traffic", "%s value '%s' is out of range (1..%u)", flag,
-                  text.c_str(), max);
-    std::uint64_t v = 0;
-    for (const char ch : text) {
-        if (ch < '0' || ch > '9')
-            SIM_FATAL("traffic",
-                      "%s expects a positive integer, got '%s'", flag,
-                      text.c_str());
-        v = v * 10 + static_cast<std::uint64_t>(ch - '0');
-    }
-    if (v == 0)
-        SIM_FATAL("traffic", "%s must be >= 1 (omit the flag for none)",
-                  flag);
-    if (v > max)
-        SIM_FATAL("traffic", "%s value %llu exceeds the limit of %u "
-                  "(one agent per mesh tile at most)", flag,
-                  (unsigned long long)v, max);
-    return static_cast<std::uint32_t>(v);
-}
-
 sim::LlcIoPolicy
 parseLlcPolicy(const std::string &text, std::uint32_t *io_ways,
                std::uint32_t l3_assoc)
@@ -186,8 +143,9 @@ parseLlcPolicy(const std::string &text, std::uint32_t *io_ways,
         return sim::LlcIoPolicy::bypass;
     if (text == "way" || text.rfind("way:", 0) == 0) {
         if (text.size() > 4) {
-            *io_ways = parseAgentCount("--llc-policy way share",
-                                       text.substr(4), l3_assoc - 1);
+            *io_ways = static_cast<std::uint32_t>(
+                sim::parseCount("traffic", "--llc-policy way share",
+                                text.substr(4), l3_assoc - 1, 1));
         }
         if (*io_ways == 0 || *io_ways >= l3_assoc)
             SIM_FATAL("traffic", "--llc-policy=way:K needs K in [1, %u), "
@@ -209,8 +167,8 @@ parseClassBw(const std::string &text)
         arb.mode = sim::ClassArbMode::priority;
         if (text.size() > 5)
             arb.yieldPenalty =
-                parseReal("--class-bw=prio yield penalty",
-                          text.substr(5));
+                sim::parseReal("traffic", "--class-bw=prio yield penalty",
+                               text.substr(5));
         return arb;
     }
     if (text.rfind("part:", 0) == 0) {
@@ -233,7 +191,8 @@ parseClassBw(const std::string &text)
                       numAgentClasses, text.c_str());
         for (int idx = 0; idx < numAgentClasses; ++idx) {
             const double share =
-                parseReal("--class-bw=part share", pieces[idx]);
+                sim::parseReal("traffic", "--class-bw=part share",
+                               pieces[idx]);
             if (share <= 0.0)
                 SIM_FATAL("traffic", "--class-bw=part shares must be "
                           "positive, got %g for %s", share,

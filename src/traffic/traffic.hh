@@ -92,16 +92,6 @@ struct TrafficConfig
 std::vector<tenant::TenantSpec> makeBackgroundSpecs(const TrafficConfig &cfg);
 
 /**
- * Parse an agent-count flag value (--host-agents / --io-streams):
- * strict decimal, rejecting empty strings, garbage, zero (omit the
- * flag to request none), and counts beyond @p max (the mesh size —
- * one agent per tile at most). SIM_FATALs on violation, naming
- * @p flag in the message.
- */
-std::uint32_t parseAgentCount(const char *flag, const std::string &text,
-                              std::uint32_t max);
-
-/**
  * Parse --llc-policy: "ddio" | "way[:K]" | "bypass". K (default:
  * *io_ways untouched) is the way-restricted allocation share and must
  * sit in [1, l3_assoc). SIM_FATALs on violation.

@@ -1,5 +1,6 @@
 #include <gtest/gtest.h>
 
+#include <cmath>
 #include <cstdio>
 #include <fstream>
 #include <memory>
@@ -36,6 +37,14 @@ TEST(BankPolicy, Names)
     EXPECT_STREQ(alloc::bankPolicyName(BankPolicy::linear), "Lnr");
     EXPECT_STREQ(alloc::bankPolicyName(BankPolicy::minHop), "Min-Hop");
     EXPECT_STREQ(alloc::bankPolicyName(BankPolicy::hybrid), "Hybrid");
+}
+
+TEST(BankPolicy, RejectsNonFiniteOrNegativeH)
+{
+    for (const double h : {std::nan(""), HUGE_VAL, -1.0})
+        EXPECT_THROW(makeFixture(BankPolicy::hybrid, h), FatalError) << h;
+    for (const double h : {0.0, 1.0, 3.0, 5.0, 7.0})
+        EXPECT_NO_THROW(makeFixture(BankPolicy::hybrid, h)) << h;
 }
 
 TEST(BankPolicy, LinearRoundRobins)

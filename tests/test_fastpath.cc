@@ -3,8 +3,9 @@
  * Tests for the host-side performance fast paths and their oracles:
  * the software TLB in front of the page table and the sorted/MRU
  * Interleave Override Table (each against a plain test-local model),
- * the NoC route table and large-mesh coordinate walk (against a
- * test-local X-Y walk), the AddressSpace host-granule index, and the
+ * the NoC's deferred per-pair charging over the route table and the
+ * large-mesh coordinate walk (against a test-local X-Y walk, on the
+ * raw Network and through Machine epochs), the AddressSpace host-granule index, and the
  * parallel sweep runner.
  */
 
@@ -25,6 +26,8 @@
 #include "mem/iot.hh"
 #include "mem/page_table.hh"
 #include "noc/network.hh"
+#include "nsc/machine.hh"
+#include "os/sim_os.hh"
 #include "sim/fault.hh"
 #include "sim/log.hh"
 
@@ -566,6 +569,32 @@ struct XyOracle
     }
 };
 
+/** Every counter @p net and @p stats must agree with @p oracle on. */
+void
+expectMatchesOracle(noc::Network &net, const sim::Stats &stats,
+                    const XyOracle &oracle)
+{
+    ASSERT_EQ(net.lifetimeLinkFlits(), oracle.lifetime);
+    EXPECT_EQ(stats.degradedLinkFlits, oracle.degraded);
+    for (int c = 0; c < numTrafficClasses; ++c) {
+        EXPECT_EQ(stats.hops[c], oracle.hops[c]) << "class " << c;
+        EXPECT_EQ(stats.flitHops[c], oracle.flitHops[c]) << "class " << c;
+    }
+    std::uint64_t total = 0, busiest = 0;
+    for (const std::uint64_t f : oracle.epoch) {
+        total += f;
+        busiest = std::max(busiest, f);
+    }
+    EXPECT_EQ(net.totalLinkFlits(), total);
+    EXPECT_EQ(net.maxLinkFlits(), busiest);
+}
+
+/**
+ * Random sends into the raw Network, half of the batches through a
+ * replay NetDelta folded in afterwards. Links are degraded between
+ * two sends with only the flush the Network asks for in between, so
+ * pending pairs must be charged at the multiplier they were sent at.
+ */
 void
 randomSendsMatchXyWalk(std::uint32_t mesh_x, std::uint32_t mesh_y)
 {
@@ -586,51 +615,123 @@ randomSendsMatchXyWalk(std::uint32_t mesh_x, std::uint32_t mesh_y)
     std::mt19937_64 rng(mesh_x * 1000 + mesh_y);
     const auto below = [&](std::uint64_t n) { return rng() % n; };
     noc::NetDelta delta;
+    sim::Stats delta_stats;
     for (int batch = 0; batch < 120; ++batch) {
         SCOPED_TRACE("batch " + std::to_string(batch));
         // Half the batches charge a replay delta folded in afterwards.
         const bool via_delta = batch % 2 == 1;
-        delta.reset(net.numLinkEntries());
-        if (batch % 10 == 9) {
-            // Degrade one more link mid-run, as fault injection does.
-            plan.degradeLink(noc::Mesh::linkOf(below(nt),
-                                               noc::Direction(below(4))),
-                             2 + below(4));
-        }
+        delta.reset(net.pairSlots());
+        delta_stats = sim::Stats{};
         for (int i = 0; i < 50; ++i) {
+            if (!via_delta && batch % 5 == 4 && i == 25) {
+                // Degrade one more link mid-batch, as fault injection
+                // does: charge what is pending at the old multiplier.
+                net.flush();
+                plan.degradeLink(noc::Mesh::linkOf(below(nt),
+                                                   noc::Direction(below(4))),
+                                 2 + below(4));
+            }
             const TileId src = below(nt);
             const TileId dst = below(8) == 0 ? src : TileId(below(nt));
             const std::uint32_t bytes = below(200);
             const auto tc = TrafficClass(below(numTrafficClasses));
             const std::uint32_t hop_count =
                 oracle.send(src, dst, net.flitsFor(bytes), tc);
-            const Cycles lat = via_delta ? net.send(src, dst, bytes, tc, delta)
-                                         : net.send(src, dst, bytes, tc);
+            const Cycles lat =
+                via_delta
+                    ? net.send(src, dst, bytes, tc, delta_stats, delta)
+                    : net.send(src, dst, bytes, tc);
             ASSERT_EQ(lat, Cycles(hop_count) * cfg.hopLatency +
                                net.flitsFor(bytes) - 1);
         }
         if (via_delta) {
+            stats += delta_stats;
             net.mergeDelta(delta);
-            net.refreshEpochMax();
         }
-        ASSERT_EQ(net.lifetimeLinkFlits(), oracle.lifetime);
-        EXPECT_EQ(stats.degradedLinkFlits, oracle.degraded);
-        for (int c = 0; c < numTrafficClasses; ++c) {
-            EXPECT_EQ(stats.hops[c], oracle.hops[c]) << "class " << c;
-            EXPECT_EQ(stats.flitHops[c], oracle.flitHops[c]) << "class " << c;
-        }
-        std::uint64_t total = 0, busiest = 0;
-        for (const std::uint64_t f : oracle.epoch) {
-            total += f;
-            busiest = std::max(busiest, f);
-        }
-        EXPECT_EQ(net.totalLinkFlits(), total);
-        EXPECT_EQ(net.maxLinkFlits(), busiest);
+        expectMatchesOracle(net, stats, oracle);
         if (batch % 7 == 6) {
             net.resetEpoch();
             std::fill(oracle.epoch.begin(), oracle.epoch.end(), 0);
         }
     }
+    EXPECT_GT(oracle.degraded, 0u);
+}
+
+/**
+ * The same walk through nsc::Machine: bank-to-bank messages inside
+ * classic and (at @p sim_threads > 1) recorded epochs, some epochs
+ * aborted, some messages sent outside any epoch, and links degraded
+ * between two sends of a classic epoch with no counter read in
+ * between. An aborted epoch rewinds every Stats counter, degraded-link
+ * flits included, but keeps its lifetime link flits.
+ */
+void
+machineEpochsMatchXyWalk(std::uint32_t mesh_x, std::uint32_t mesh_y,
+                         unsigned sim_threads)
+{
+    SCOPED_TRACE(std::to_string(mesh_x) + "x" + std::to_string(mesh_y) +
+                 " sim-threads " + std::to_string(sim_threads));
+    sim::MachineConfig cfg;
+    cfg.meshX = mesh_x;
+    cfg.meshY = mesh_y;
+    cfg.simThreads = sim_threads;
+    cfg.faults.degradedLinks = 6;
+    cfg.l3BankSizeBytes = 4 * 1024;
+    os::SimOS sim_os(cfg);
+    nsc::Machine m(cfg, sim_os);
+    noc::Network &net = m.network();
+    const std::uint32_t banks = cfg.numBanks();
+    XyOracle oracle(net.mesh(), m.faultPlan());
+
+    std::mt19937_64 rng(mesh_x * 1000 + mesh_y + sim_threads);
+    const auto below = [&](std::uint64_t n) { return rng() % n; };
+    const auto forward = [&] {
+        const auto from = static_cast<BankId>(below(banks));
+        const auto to = static_cast<BankId>(below(banks));
+        const auto bytes = static_cast<std::uint32_t>(below(200));
+        oracle.send(m.tileOfBank(from), m.tileOfBank(to),
+                    net.flitsFor(bytes), TrafficClass::data);
+        m.forwardData(from, to, bytes);
+    };
+    int aborted = 0;
+    for (int epoch = 0; epoch < 60; ++epoch) {
+        SCOPED_TRACE("epoch " + std::to_string(epoch));
+        for (std::uint64_t i = below(3); i > 0; --i)
+            forward();
+        expectMatchesOracle(net, m.stats(), oracle);
+
+        const bool deferred = sim_threads > 1 && below(2) == 0;
+        m.beginEpoch(deferred);
+        std::fill(oracle.epoch.begin(), oracle.epoch.end(), 0);
+        const XyOracle at_begin = oracle;
+        const int sends = 20 + static_cast<int>(below(40));
+        for (int i = 0; i < sends; ++i) {
+            // A deferred epoch replays its sends at its end, so only a
+            // classic one may see a link change mid-epoch.
+            if (!deferred && i == sends / 2 && below(3) == 0) {
+                m.injectLinkDegrade(
+                    noc::Mesh::linkOf(static_cast<TileId>(below(banks)),
+                                      noc::Direction(below(4))),
+                    2 + static_cast<std::uint32_t>(below(4)));
+            }
+            forward();
+        }
+        if (below(4) == 0) {
+            m.abortEpoch();
+            ++aborted;
+            // Stats rewind; the lifetime link counters keep the flits.
+            oracle.degraded = at_begin.degraded;
+            std::copy(std::begin(at_begin.hops), std::end(at_begin.hops),
+                      oracle.hops);
+            std::copy(std::begin(at_begin.flitHops),
+                      std::end(at_begin.flitHops), oracle.flitHops);
+            std::fill(oracle.epoch.begin(), oracle.epoch.end(), 0);
+        } else {
+            m.endEpoch(0.0, "noc");
+        }
+        expectMatchesOracle(net, m.stats(), oracle);
+    }
+    EXPECT_GT(aborted, 0);
     EXPECT_GT(oracle.degraded, 0u);
 }
 
@@ -645,4 +746,26 @@ TEST(NetworkRoutes, CoordinateWalkMatchesXyWalk)
 {
     // 272 tiles: above the route table's 256-tile limit.
     randomSendsMatchXyWalk(17, 16);
+}
+
+TEST(NetworkRoutes, MachineEpochsMatchXyWalk)
+{
+    for (const unsigned threads : {1u, 2u}) {
+        machineEpochsMatchXyWalk(8, 8, threads);
+        machineEpochsMatchXyWalk(17, 16, threads);
+    }
+}
+
+TEST(NetworkRoutes, DegradeWithPendingPairsPanics)
+{
+    sim::MachineConfig cfg;
+    sim::Stats stats;
+    noc::Network net(cfg, stats);
+    sim::FaultConfig faults;
+    faults.degradedLinks = 1;
+    sim::FaultPlan plan(faults, cfg.meshX, cfg.meshY);
+    net.setFaultPlan(&plan);
+    net.send(0, 63, 64, TrafficClass::data);
+    plan.degradeLink(noc::Mesh::linkOf(0, noc::Direction::east), 3);
+    EXPECT_THROW(net.flush(), PanicError);
 }

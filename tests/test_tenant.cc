@@ -54,6 +54,15 @@ TEST(TenantSpecs, RejectsUnknownWorkload)
     EXPECT_THROW(parseTenantSpecs("hotspot:0"), FatalError);
 }
 
+TEST(TenantSpecs, RejectsBadCounts)
+{
+    for (const char *bad : {"hotspot:-1", "hotspot:2x", "hotspot: 2",
+                            "hotspot:1025", "hotspot:2:0", "hotspot:2:+3",
+                            "hotspot:2:4294967296", "hotspot:2:"})
+        EXPECT_THROW(parseTenantSpecs(bad), FatalError) << bad;
+    EXPECT_EQ(parseTenantSpecs("hotspot:1024:4294967295").size(), 1024u);
+}
+
 TEST(TenantSpecs, RegistryCoversTableThreeClasses)
 {
     const auto &names = workloadNames();

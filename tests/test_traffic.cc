@@ -17,6 +17,7 @@
 #include "mem/cache_model.hh"
 #include "nsc/machine.hh"
 #include "sim/log.hh"
+#include "sim/parse.hh"
 #include "sim/stats.hh"
 #include "tenant/scheduler.hh"
 #include "traffic/traffic.hh"
@@ -27,23 +28,29 @@ using namespace affalloc::traffic;
 
 // ------------------------------------------------------ flag parsing
 
+namespace
+{
+
+/** An agent count as affalloc_cli reads it: 1..64 on the 8x8 mesh. */
+std::uint64_t
+agentCount(const char *flag, const std::string &text)
+{
+    return sim::parseCount("traffic", flag, text, 64, 1);
+}
+
+} // namespace
+
 TEST(TrafficFlags, AgentCountAcceptsPositiveInRange)
 {
-    EXPECT_EQ(parseAgentCount("--host-agents", "1", 64), 1u);
-    EXPECT_EQ(parseAgentCount("--host-agents", "64", 64), 64u);
-    EXPECT_EQ(parseAgentCount("--io-streams", "7", 64), 7u);
+    EXPECT_EQ(agentCount("--host-agents", "1"), 1u);
+    EXPECT_EQ(agentCount("--host-agents", "64"), 64u);
+    EXPECT_EQ(agentCount("--io-streams", "7"), 7u);
 }
 
 TEST(TrafficFlags, AgentCountRejectsGarbage)
 {
-    EXPECT_THROW(parseAgentCount("--host-agents", "", 64), FatalError);
-    EXPECT_THROW(parseAgentCount("--host-agents", "0", 64), FatalError);
-    EXPECT_THROW(parseAgentCount("--host-agents", "abc", 64), FatalError);
-    EXPECT_THROW(parseAgentCount("--host-agents", "4x", 64), FatalError);
-    EXPECT_THROW(parseAgentCount("--host-agents", "-1", 64), FatalError);
-    EXPECT_THROW(parseAgentCount("--host-agents", "65", 64), FatalError);
-    EXPECT_THROW(parseAgentCount("--host-agents", "12345678901", 64),
-                 FatalError);
+    for (const char *bad : {"", "0", "abc", "4x", "-1", "65", "12345678901"})
+        EXPECT_THROW(agentCount("--host-agents", bad), FatalError) << bad;
 }
 
 TEST(TrafficFlags, LlcPolicyGrammar)
@@ -96,6 +103,8 @@ TEST(TrafficFlags, ClassBwRejectsBadValues)
     EXPECT_THROW(parseClassBw("junk"), FatalError);
     EXPECT_THROW(parseClassBw("prio:-1"), FatalError);
     EXPECT_THROW(parseClassBw("prio:abc"), FatalError);
+    EXPECT_THROW(parseClassBw("prio:nan"), FatalError);
+    EXPECT_THROW(parseClassBw("part:inf,1,1"), FatalError);
     // Exactly one share per agent class.
     EXPECT_THROW(parseClassBw("part:1,2"), FatalError);
     EXPECT_THROW(parseClassBw("part:1,2,3,4"), FatalError);

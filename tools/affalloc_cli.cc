@@ -29,6 +29,7 @@
 #include "harness/report.hh"
 #include "harness/sweep.hh"
 #include "obs/heatmap.hh"
+#include "sim/parse.hh"
 #include "sim/prof.hh"
 #include "sim/simcheck.hh"
 #include "harness/trace.hh"
@@ -41,10 +42,32 @@
 
 using namespace affalloc;
 using namespace affalloc::workloads;
-using affalloc::harness::parseCount;
 
 namespace
 {
+
+/** A count flag's value (sim::parseCount, reported as a CLI error). */
+std::uint64_t
+parseCount(const char *flag, const std::string &text, std::uint64_t max)
+{
+    return sim::parseCount("cli", flag, text, max);
+}
+
+/** --policy: the irregular bank-select policy by its short name. */
+alloc::BankPolicy
+parseBankPolicy(const std::string &v)
+{
+    if (v == "hybrid")
+        return alloc::BankPolicy::hybrid;
+    if (v == "minhop")
+        return alloc::BankPolicy::minHop;
+    if (v == "lnr")
+        return alloc::BankPolicy::linear;
+    if (v == "rnd")
+        return alloc::BankPolicy::random;
+    SIM_FATAL("cli", "--policy=%s: expected hybrid, minhop, lnr or rnd",
+              v.c_str());
+}
 
 struct Options
 {
@@ -239,13 +262,9 @@ parse(int argc, char **argv)
                      : v == "near" ? ExecMode::nearL3
                                    : ExecMode::affAlloc;
         } else if (a == "--policy") {
-            const std::string v = next("--policy");
-            o.policy = v == "rnd"      ? alloc::BankPolicy::random
-                       : v == "lnr"    ? alloc::BankPolicy::linear
-                       : v == "minhop" ? alloc::BankPolicy::minHop
-                                       : alloc::BankPolicy::hybrid;
+            o.policy = parseBankPolicy(next("--policy"));
         } else if (a == "--h") {
-            o.h = std::atof(next("--h").c_str());
+            o.h = sim::parseReal("cli", "--h", next("--h"));
         } else if (a == "--numbering") {
             const std::string v = next("--numbering");
             o.numbering = v == "snake"    ? sim::BankNumbering::snake
@@ -595,11 +614,11 @@ applyTrafficOptions(const Options &o, sim::MachineConfig &mc)
 {
     traffic::TrafficConfig tc;
     if (!o.hostAgents.empty())
-        tc.hostAgents = traffic::parseAgentCount(
-            "--host-agents", o.hostAgents, mc.numTiles());
+        tc.hostAgents = std::uint32_t(sim::parseCount(
+            "traffic", "--host-agents", o.hostAgents, mc.numTiles(), 1));
     if (!o.ioStreams.empty())
-        tc.ioStreams = traffic::parseAgentCount(
-            "--io-streams", o.ioStreams, mc.numTiles());
+        tc.ioStreams = std::uint32_t(sim::parseCount(
+            "traffic", "--io-streams", o.ioStreams, mc.numTiles(), 1));
     if (!o.llcPolicy.empty())
         mc.llcIoPolicy = traffic::parseLlcPolicy(
             o.llcPolicy, &mc.llcIoWays, mc.l3Assoc);

@@ -17,6 +17,7 @@
 #include "harness/report.hh"
 #include "harness/sweep.hh"
 #include "harness/trace.hh"
+#include "sim/parse.hh"
 #include "workloads/affine_workloads.hh"
 #include "workloads/graph_workloads.hh"
 #include "workloads/pointer_workloads.hh"
@@ -41,9 +42,9 @@ main(int argc, char **argv)
         for (int i = 2; i + 1 < argc; i += 2) {
             if (!std::strcmp(argv[i], "--scale"))
                 scale = std::uint32_t(
-                    harness::parseCount("--scale", argv[i + 1], 30));
+                    sim::parseCount("cli", "--scale", argv[i + 1], 30));
             else if (!std::strcmp(argv[i], "--iters"))
-                iters = int(harness::parseCount("--iters", argv[i + 1], 1000));
+                iters = int(sim::parseCount("cli", "--iters", argv[i + 1], 1000));
             else if (!std::strcmp(argv[i], "--out"))
                 out = argv[i + 1];
         }

@@ -209,6 +209,16 @@ TABLE = [
         cmds=["build/bench/fig13_policy --quick --jobs -2",
               "build/bench/fig13_policy --quick --sim-threads 0",
               "env AFFALLOC_JOBS=abc build/bench/fig13_policy --quick"]),
+    # So does a bad value of any other shared bench flag.
+    Row("bench-bad-options", "rejects",
+        stderr=r"(?m)^fatal: \[(tenant|harness)\]",
+        cmds=["build/bench/corun_contention --quick --sched=bogus",
+              "build/bench/fig12_overall --quick --heatmap=foo"]),
+    # Eq. 4 inputs: an unknown policy or a non-finite/negative H.
+    Row("cli-bad-eq4", "rejects", stderr=r"(?m)^fatal: \[cli\]",
+        cmds=[f"{CLI} run vecadd --policy foo",
+              f"{CLI} run vecadd --h nan",
+              f"{CLI} run vecadd --h -1"]),
     # Chaos: only the header's "jobs N" may differ between job counts;
     # the planted defect is found, shrunk, bundled and replayed.
     Row("chaos-jobs", "same", key="body",
