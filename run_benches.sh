@@ -14,10 +14,6 @@
 #                changes wall-clock. Filtered out for
 #                micro_benchmarks, which is google-benchmark based
 #                and rejects foreign flags.
-#   --sim-threads N  forwarded to the figure benches (intra-run
-#                shard-parallel epoch replay). Digests and bench output
-#                are bit-identical at any count; only wall-clock
-#                changes. Filtered out for micro_benchmarks.
 #   --no-prof    with --timings, skip the per-bench --prof-out export
 #                (used by CI to measure the profiler's own overhead:
 #                two --timings runs, one with --no-prof, diffed by
@@ -29,7 +25,6 @@ here="$(dirname "$0")"
 timings=0
 no_prof=0
 jobs=""
-sim_threads=""
 quick=0
 declare -a fwd=()
 argv=("$@")
@@ -50,15 +45,6 @@ while [ $i -lt $# ]; do
         ;;
     --jobs=*)
         jobs="${a#--jobs=}"
-        fwd+=("$a")
-        ;;
-    --sim-threads)
-        i=$((i + 1))
-        sim_threads="${argv[$i]}"
-        fwd+=(--sim-threads "$sim_threads")
-        ;;
-    --sim-threads=*)
-        sim_threads="${a#--sim-threads=}"
         fwd+=("$a")
         ;;
     --quick)
@@ -115,8 +101,6 @@ for b in fig04_affine_offset fig17_bfs_iters fig14_timeline \
             --quick) args+=(--benchmark_min_time=0.01) ;;
             --jobs) skip_next=1 ;;
             --jobs=*) ;;
-            --sim-threads) skip_next=1 ;;
-            --sim-threads=*) ;;
             --simcheck | --simcheck-digest | --faulty) ;;
             --trace-out=* | --heatmap=* | --obs-csv=*) ;;
             --explain-placement | --explain-placement=*) ;;
@@ -168,7 +152,6 @@ if [ "$timings" = 1 ]; then
         echo "{"
         echo "  \"quick\": $([ "$quick" = 1 ] && echo true || echo false),"
         echo "  \"jobs\": ${jobs:-${AFFALLOC_JOBS:-1}},"
-        echo "  \"sim_threads\": ${sim_threads:-${AFFALLOC_SIM_THREADS:-1}},"
         echo "  \"git_revision\": \"$git_rev\","
         echo "  \"build_type\": \"${build_type:-unknown}\","
         echo "  \"host_threads\": $host_threads,"

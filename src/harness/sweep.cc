@@ -10,7 +10,6 @@
 #include <thread>
 
 #include "harness/report.hh"
-#include "sim/config.hh"
 #include "sim/log.hh"
 #include "sim/parse.hh"
 #include "sim/prof.hh"
@@ -64,35 +63,6 @@ parseJobs(int argc, char **argv)
         return static_cast<unsigned>(v);
     const unsigned hw = std::thread::hardware_concurrency();
     return hw == 0 ? 1 : hw;
-}
-
-unsigned
-applySimThreads(int argc, char **argv)
-{
-    const char *origin = nullptr;
-    const char *text = flagValue(argc, argv, "--sim-threads",
-                                 "AFFALLOC_SIM_THREADS", &origin);
-    const std::uint64_t v =
-        text ? sim::parseCount("harness", origin, text, maxThreads) : 1;
-    if (v == 0) {
-        SIM_FATAL("harness",
-                  "%s: 0 is invalid; need at least 1 thread to replay "
-                  "the epoch (1 = classic serial execution)",
-                  origin);
-    }
-    const unsigned hw = std::thread::hardware_concurrency();
-    const char *over = std::getenv("AFFALLOC_SIM_OVERSUBSCRIBE");
-    const bool oversubscribe = over && *over && *over != '0';
-    if (hw != 0 && static_cast<unsigned>(v) > hw && !oversubscribe) {
-        SIM_FATAL("harness",
-                  "%s: %llu exceeds this host's %u hardware threads; "
-                  "oversubscribing only slows the replay down (set "
-                  "AFFALLOC_SIM_OVERSUBSCRIBE=1 to force, e.g. in a "
-                  "cgroup-limited container)",
-                  origin, static_cast<unsigned long long>(v), hw);
-    }
-    sim::setDefaultSimThreads(static_cast<unsigned>(v));
-    return static_cast<unsigned>(v);
 }
 
 namespace
@@ -203,7 +173,6 @@ parseBenchFlags(int argc, char **argv)
         BenchFlags f;
         f.quick = quickMode(argc, argv);
         f.jobs = parseJobs(argc, argv);
-        applySimThreads(argc, argv);
         applyProfFlags(argc, argv);
         return f;
     });

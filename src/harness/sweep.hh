@@ -44,21 +44,6 @@ const char *flagValue(int argc, char **argv, const char *flag,
 unsigned parseJobs(int argc, char **argv);
 
 /**
- * Parse and apply the shared --sim-threads flag: `--sim-threads N`,
- * `--sim-threads=N`, or the AFFALLOC_SIM_THREADS environment variable
- * (flag wins). Installs the value as the process-wide default every
- * subsequently constructed MachineConfig picks up (intra-run
- * shard-parallel epoch replay; results are bit-identical at any
- * count), and returns it. Unset means 1 (classic serial execution).
- * Fatal on 0, non-numeric values, counts above 1024, and counts above
- * the host's hardware threads — oversubscription only slows the
- * replay down; AFFALLOC_SIM_OVERSUBSCRIBE=1 overrides that last check
- * for constrained CI containers whose cgroup quota understates the
- * real parallelism.
- */
-unsigned applySimThreads(int argc, char **argv);
-
-/**
  * Parse and apply the shared host-telemetry flags:
  *
  *   --prof-out FILE / --prof-out=FILE (or AFFALLOC_PROF_OUT): enable
@@ -105,8 +90,8 @@ exitOnBadFlag(Parse &&parse) -> decltype(parse())
 }
 
 /**
- * The prelude of every bench main: --quick, then parseJobs,
- * applySimThreads and applyProfFlags, under exitOnBadFlag.
+ * The prelude of every bench main: --quick, then parseJobs and
+ * applyProfFlags, under exitOnBadFlag.
  */
 BenchFlags parseBenchFlags(int argc, char **argv);
 

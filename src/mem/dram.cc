@@ -3,7 +3,6 @@
 #include <algorithm>
 
 #include "sim/log.hh"
-#include "sim/prof.hh"
 
 namespace affalloc::mem
 {
@@ -30,23 +29,6 @@ Dram::access(Addr line_addr, bool is_write)
     stats_.dramAccesses += 1;
     stats_.dramBytes += lineSize_;
     return latency_;
-}
-
-void
-Dram::chargeDeferred(const std::vector<std::uint64_t> &counts)
-{
-    PROF_SCOPE("mem/dram.charge_deferred");
-    if (foldCache_.empty())
-        foldCache_.push_back(0.0);
-    for (std::uint32_t ch = 0; ch < channels_; ++ch) {
-        const std::uint64_t n = counts[ch];
-        while (foldCache_.size() <= n)
-            foldCache_.push_back(foldCache_.back() + cyclesPerLine_);
-        // In a deferred epoch every DRAM access is counted (none are
-        // charged inline), so the accumulator is at its beginEpoch()
-        // 0.0 and this add reproduces the serial sum bit-exactly.
-        epochBusy_[ch] += foldCache_[n];
-    }
 }
 
 double

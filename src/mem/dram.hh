@@ -52,22 +52,8 @@ class Dram
     /** Busy cycles of the most-loaded channel this epoch. */
     double maxChannelBusy() const;
 
-    /**
-     * Fold @p counts deferred accesses per channel into this epoch's
-     * occupancy (shard-parallel replay: workers count accesses, the
-     * barrier charges them). Exact: every access adds the same
-     * cyclesPerLine_ constant, so n sequential additions from the
-     * epoch's zero depend only on n — which is why the replay may
-     * count per worker and fold once. The fold itself is memoized so
-     * the barrier stays O(channels), not O(accesses).
-     */
-    void chargeDeferred(const std::vector<std::uint64_t> &counts);
-
     /** Reset per-epoch occupancy. */
     void resetEpoch();
-
-    /** Fixed access latency. */
-    Cycles latency() const { return latency_; }
 
   private:
     std::uint32_t channels_;
@@ -77,8 +63,6 @@ class Dram
     sim::Stats &stats_;
     std::vector<TileId> controllerTiles_;
     std::vector<double> epochBusy_;
-    /** foldCache_[n] == n sequential additions of cyclesPerLine_. */
-    std::vector<double> foldCache_;
 };
 
 } // namespace affalloc::mem

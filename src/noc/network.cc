@@ -4,27 +4,9 @@
 #include <numeric>
 
 #include "sim/log.hh"
-#include "sim/prof.hh"
 
 namespace affalloc::noc
 {
-
-void
-NetDelta::reset(std::size_t num_pairs)
-{
-    if (num_pairs != numPairs_) {
-        pairFlits = sim::ZeroPages(num_pairs * sizeof(std::uint64_t));
-        numPairs_ = num_pairs;
-        // One block up front: growing it while a run's buffers come and
-        // go raised graph's peak RSS by 0.2 MB.
-        pairs.reserve(num_pairs);
-    } else if (std::uint64_t *by_pair = pairFlits.as<std::uint64_t>()) {
-        for (const std::uint32_t p : pairs)
-            by_pair[p] = 0;
-    }
-    pairs.clear();
-    entryFlits.clear();
-}
 
 Network::Network(const sim::MachineConfig &cfg, sim::Stats &stats)
     : cfg_(cfg), stats_(stats), mesh_(cfg.meshX, cfg.meshY),
@@ -47,8 +29,12 @@ Network::Network(const sim::MachineConfig &cfg, sim::Stats &stats)
             }
         }
         routeOffset_.back() = static_cast<std::uint32_t>(routeLinks_.size());
+        pendingFlits_ = sim::ZeroPages(std::size_t(nt) * nt *
+                                       sizeof(std::uint64_t));
+        // One block up front: growing it while a run's buffers come and
+        // go raised graph's peak RSS by 0.2 MB.
+        pendingPairs_.reserve(std::size_t(nt) * nt);
     }
-    pending_.reset(pairSlots());
 }
 
 void
@@ -73,63 +59,56 @@ Network::ejectPort(TileId tile) const
 Cycles
 Network::send(TileId src, TileId dst, std::uint32_t bytes, TrafficClass tc)
 {
-    if (pending_.empty())
-        pendingLinkVersion_ = linkVersion();
-    const Cycles latency = send(src, dst, bytes, tc, stats_, pending_);
-    if (pairSlots() == 0)
-        flush();
-    return latency;
-}
-
-Cycles
-Network::send(TileId src, TileId dst, std::uint32_t bytes, TrafficClass tc,
-              sim::Stats &stats, NetDelta &d) const
-{
     const std::uint32_t hop_count = mesh_.distance(src, dst);
     const std::uint32_t flits = flitsFor(bytes);
     const int c = static_cast<int>(tc);
-    stats.messages[c] += 1;
-    stats.hops[c] += hop_count;
-    stats.flitHops[c] += std::uint64_t(flits) * hop_count;
-    if (hop_count != 0)
-        d.add(src * mesh_.numTiles() + dst, flits);
+    stats_.messages[c] += 1;
+    stats_.hops[c] += hop_count;
+    stats_.flitHops[c] += std::uint64_t(flits) * hop_count;
+    if (hop_count != 0) {
+        const std::uint32_t pair = src * mesh_.numTiles() + dst;
+        std::uint64_t *by_pair = pendingFlits_.as<std::uint64_t>();
+        if (by_pair == nullptr) {
+            chargePair(pair, flits);
+        } else {
+            if (pendingPairs_.empty())
+                pendingLinkVersion_ = linkVersion();
+            if (by_pair[pair] == 0)
+                pendingPairs_.push_back(pair);
+            by_pair[pair] += flits;
+        }
+    }
     return latencyOf(hop_count, flits);
-}
-
-void
-Network::mergeDelta(const NetDelta &d)
-{
-    PROF_SCOPE("noc/net.merge_delta");
-    if (pending_.empty())
-        pendingLinkVersion_ = linkVersion();
-    for (std::size_t i = 0; i < d.pairs.size(); ++i)
-        pending_.add(d.pairs[i], d.flitsAt(i));
-    if (pairSlots() == 0)
-        flush();
 }
 
 void
 Network::flush()
 {
-    if (pending_.empty())
+    if (pendingPairs_.empty())
         return;
     SIM_CHECK("noc", linkVersion() == pendingLinkVersion_,
               "a link multiplier changed while %zu (src, dst) pairs were "
               "pending; flush() before degrading a link",
-              pending_.pairs.size());
-    const std::uint32_t nt = mesh_.numTiles();
-    for (std::size_t i = 0; i < pending_.pairs.size(); ++i) {
-        const std::uint32_t pair = pending_.pairs[i];
-        const std::uint64_t flits = pending_.flitsAt(i);
-        chargeRoute(pair, flits);
-        // Endpoint local ports: one tile can inject/eject at most one
-        // flit per cycle, which bounds hot endpoints (e.g. a core
-        // sinking every response, or a contended tail-pointer bank).
-        addLink(injectPort(pair / nt), flits);
-        addLink(ejectPort(pair % nt), flits);
-        epochFlits_ += flits;
+              pendingPairs_.size());
+    std::uint64_t *by_pair = pendingFlits_.as<std::uint64_t>();
+    for (const std::uint32_t pair : pendingPairs_) {
+        chargePair(pair, by_pair[pair]);
+        by_pair[pair] = 0;
     }
-    pending_.reset(pairSlots());
+    pendingPairs_.clear();
+}
+
+void
+Network::chargePair(std::uint32_t pair, std::uint64_t flits)
+{
+    const std::uint32_t nt = mesh_.numTiles();
+    chargeRoute(pair, flits);
+    // Endpoint local ports: one tile can inject/eject at most one flit
+    // per cycle, which bounds hot endpoints (e.g. a core sinking every
+    // response, or a contended tail-pointer bank).
+    addLink(injectPort(pair / nt), flits);
+    addLink(ejectPort(pair % nt), flits);
+    epochFlits_ += flits;
 }
 
 void

@@ -23,69 +23,13 @@ namespace affalloc::noc
 {
 
 /**
- * Flits sent but not yet charged to links, per (src, dst) tile pair.
- * Network::send() only adds a message's flits to its pair here;
- * Network::flush() expands the pairs onto their route links once, so
- * a pair carrying many messages in one epoch walks its route once.
- * The network keeps one as its pending store, and each shard-parallel
- * replay worker fills its own, which Network::mergeDelta() folds into
- * the pending store in fixed worker order at the epoch barrier. Every
- * count is an integer sum, so the fold is exact whichever worker
- * carried which message.
- */
-struct NetDelta
-{
-    /** Pairs (src * numTiles + dst) with pending flits, first-send order. */
-    std::vector<std::uint32_t> pairs;
-    /**
-     * Indexed store: pending flits per pair, in mapped pages (a store
-     * rebuilt with every machine would otherwise fragment the heap).
-     * Empty when the mesh has no pair index (Network::pairSlots() ==
-     * 0); then every add is an entry of its own, with its flits in
-     * entryFlits.
-     */
-    sim::ZeroPages pairFlits;
-    std::vector<std::uint64_t> entryFlits;
-
-    /** Drop every entry; index @p num_pairs pairs (0: no index). */
-    void reset(std::size_t num_pairs);
-
-    bool empty() const { return pairs.empty(); }
-
-    void
-    add(std::uint32_t pair, std::uint64_t n)
-    {
-        std::uint64_t *by_pair = pairFlits.as<std::uint64_t>();
-        if (by_pair == nullptr) {
-            pairs.push_back(pair);
-            entryFlits.push_back(n);
-            return;
-        }
-        if (by_pair[pair] == 0)
-            pairs.push_back(pair);
-        by_pair[pair] += n;
-    }
-
-    /** Flits pending for entry @p i of pairs. */
-    std::uint64_t
-    flitsAt(std::size_t i) const
-    {
-        const std::uint64_t *by_pair = pairFlits.as<std::uint64_t>();
-        return by_pair ? by_pair[pairs[i]] : entryFlits[i];
-    }
-
-  private:
-    /** Pairs pairFlits indexes. */
-    std::size_t numPairs_ = 0;
-};
-
-/**
  * The interconnect model. Owns per-link epoch occupancy counters and
  * writes traffic statistics into a shared Stats block.
  *
  * Link counters are charged lazily: send() counts the message in the
  * per-class Stats at once but only adds its flits to a pending
- * (src, dst) pair. flush() expands the pending pairs onto the route
+ * (src, dst) pair, so a pair carrying many messages in one epoch walks
+ * its route once. flush() expands the pending pairs onto the route
  * links, the endpoint ports, the lifetime counters and
  * Stats::degradedLinkFlits. Every reader of those counters flushes
  * first, and so must anyone who changes a link multiplier or rewinds
@@ -115,8 +59,9 @@ class Network
     /**
      * Inject one message of @p bytes payload from @p src to @p dst.
      * Counts it in the per-class counters and adds its flits to the
-     * pending (src, dst) pair. Local (src == dst) messages cost no
-     * hops.
+     * pending (src, dst) pair; a mesh beyond routeTableMaxTiles has no
+     * pair index and charges the links at once. Local (src == dst)
+     * messages cost no hops.
      *
      * @return latencyOf(src, dst, bytes)
      */
@@ -124,38 +69,15 @@ class Network
                 TrafficClass tc);
 
     /**
-     * send() counted into @p stats and @p d instead of the shared
-     * counters (shard-parallel epoch replay). Thread-safe: reads only
-     * immutable routing state.
-     */
-    Cycles send(TileId src, TileId dst, std::uint32_t bytes,
-                TrafficClass tc, sim::Stats &stats, NetDelta &d) const;
-
-    /**
      * The unloaded latency of a message: route traversal plus
      * serialization of the flits behind the head flit. Load
-     * independent, so deferred-epoch recording can hand exact
-     * latencies to callers before the traffic itself is replayed.
+     * independent.
      */
     Cycles
     latencyOf(TileId src, TileId dst, std::uint32_t bytes) const
     {
         return latencyOf(mesh_.distance(src, dst), flitsFor(bytes));
     }
-
-    /** Pairs a NetDelta indexes on this mesh (NetDelta::reset). */
-    std::size_t
-    pairSlots() const
-    {
-        return routeOffset_.empty() ? 0 : routeOffset_.size() - 1;
-    }
-
-    /**
-     * Fold one replay worker's pairs into the pending store. Called in
-     * fixed worker order at the epoch barrier; integer adds, so the
-     * result equals serial execution.
-     */
-    void mergeDelta(const NetDelta &d);
 
     /**
      * Expand every pending pair onto its route links (with their
@@ -229,6 +151,11 @@ class Network
         return Cycles(hops) * cfg_.hopLatency + (flits - 1);
     }
 
+    /**
+     * Charge @p flits of pair @p pair (src * numTiles + dst) to its
+     * route links, both endpoint ports and epochFlits_.
+     */
+    void chargePair(std::uint32_t pair, std::uint64_t flits);
     /** Charge @p flits to every link of the X-Y route of @p pair. */
     void chargeRoute(std::uint32_t pair, std::uint64_t flits);
     /** Charge one route link, applying any degraded-link multiplier. */
@@ -253,12 +180,14 @@ class Network
     Mesh mesh_;
     /** Optional fault plan (not owned); degraded-link multipliers. */
     const sim::FaultPlan *faults_ = nullptr;
+    /** Pairs with pending flits, in first-send order. */
+    std::vector<std::uint32_t> pendingPairs_;
     /**
-     * Flits sent but not yet on any link counter. Beyond
-     * routeTableMaxTiles it has no pair index and zero capacity:
-     * send() and mergeDelta() flush at once.
+     * Pending flits per pair, in mapped pages (a store rebuilt with
+     * every machine would otherwise fragment the heap). Empty beyond
+     * routeTableMaxTiles: send() then charges the links at once.
      */
-    NetDelta pending_;
+    sim::ZeroPages pendingFlits_;
     /** linkVersion() when the first pending pair was added. */
     std::uint64_t pendingLinkVersion_ = 0;
     /** Per-directed-link (and per local port) flits this epoch. The

@@ -1,11 +1,11 @@
 #include "nsc/machine.hh"
 
 #include <algorithm>
-#include <bit>
 #include <optional>
 
 #include "mem/address.hh"
 #include "sim/log.hh"
+#include "sim/prof.hh"
 
 namespace affalloc::nsc
 {
@@ -235,12 +235,12 @@ Machine::coreTranslate(CoreId core, Addr vaddr)
 }
 
 Cycles
-Machine::seTlbProbe(BankId bank, Addr vpage, sim::Stats &s)
+Machine::seTlbProbe(BankId bank, Addr vpage)
 {
-    s.tlbAccesses += 1;
+    stats_.tlbAccesses += 1;
     if (seTlb_[bank].access(vpage, false).hit)
         return 0;
-    s.tlbWalks += 1;
+    stats_.tlbWalks += 1;
     return cfg_.tlbLatency + cfg_.tlbWalkLatency;
 }
 
@@ -251,7 +251,7 @@ Machine::bankOfHost(const void *p) const
 }
 
 void
-Machine::beginEpoch(bool deferrable)
+Machine::beginEpoch()
 {
     std::fill(bankBusy_.begin(), bankBusy_.end(), 0.0);
     std::fill(coreBusy_.begin(), coreBusy_.end(), 0.0);
@@ -265,14 +265,6 @@ Machine::beginEpoch(bool deferrable)
     epochStartStats_ = stats_;
     inEpoch_ = true;
     epochProfT0_ = prof::nowNsIfEnabled();
-    deferActive_ = deferrable && cfg_.simThreads > 1;
-    if (deferActive_) {
-        if (!log_) {
-            log_ = std::make_unique<EpochLog>();
-            log_->init(cfg_.numBanks(), cfg_.numTiles());
-        }
-        log_->clear();
-    }
 }
 
 void
@@ -284,16 +276,11 @@ Machine::abortEpoch()
         prof::addTimed("machine/epoch.record", prof::nowNs() - epochProfT0_);
         epochProfT0_ = 0;
     }
-    // A deferred epoch still replays its bank events: classic inline
-    // execution would already have moved the L3/SE-TLB state and the
-    // lifetime NoC counters, and abortEpoch() deliberately keeps those
-    // (only the Stats counters rewind). Wave two is skipped — the busy
-    // accumulators are wiped right below.
-    if (deferActive_)
-        replayDeferred(/*commit=*/false);
-    // Expand the pending NoC pairs before the rewind: the lifetime link
-    // counters keep the aborted traffic, while the degraded-link flits
-    // the expansion adds to stats_ are rewound with the other Stats.
+    // The cache/TLB state and the lifetime NoC counters keep the
+    // aborted epoch's work; only the Stats counters rewind. Expand the
+    // pending NoC pairs before the rewind: the lifetime link counters
+    // keep the aborted traffic, while the degraded-link flits the
+    // expansion adds to stats_ are rewound with the other Stats.
     net_.flush();
     // The restore rewinds every counter to the beginEpoch() snapshot;
     // carry the abort count itself across it so degradation stays
@@ -325,20 +312,18 @@ Machine::abortEpoch()
 Cycles
 Machine::endEpoch(double latency_floor, const std::string &phase)
 {
-    // Close the record phase before replay starts so "record" and
-    // "replay" partition the epoch's host time cleanly.
+    // The in-epoch host time ends here; the audit below is timed on
+    // its own.
     if (epochProfT0_) {
         prof::addTimed("machine/epoch.record", prof::nowNs() - epochProfT0_);
         epochProfT0_ = 0;
     }
-    if (deferActive_)
-        replayDeferred(/*commit=*/true);
     // Expand the epoch's pending NoC pairs onto the links: the link
     // term and the class attribution below read what they charge.
     net_.flush();
-    // The busy maxima are maintained at charge time (and by the replay
-    // barrier), so closing the epoch no longer rescans every per-bank
-    // accumulator and link counter. Class arbitration stretches only
+    // The busy maxima are maintained at charge time, so closing the
+    // epoch no longer rescans every per-bank accumulator and link
+    // counter. Class arbitration stretches only
     // the bank and link terms (the shared queues classes contend on);
     // the guard keeps single-class runs on the exact classic
     // arithmetic.
@@ -546,187 +531,42 @@ Machine::auditMapping(simcheck::CheckContext &ctx) const
     }
 }
 
-// ---------------------------------------------------------------------
-// The access paths, written once. Everything core-private (L1/L2, core
-// TLB, their stats) and every bank/SE busy charge runs inline in both
-// modes, in program order; the sink takes the bank-owned rest: L3
-// probes, SE-TLB lookups, NoC messages and the core MLP penalty that
-// depends on a probe's outcome. A deferred epoch's recorded events
-// replay either in per-bank serial-projected order (wave one) or
-// per-core record order (wave two), so the result is bit-identical to
-// inline execution at any --sim-threads.
-// ---------------------------------------------------------------------
-
-struct Machine::InlineSink
-{
-    Machine &m;
-
-    // Counter target of probeL3Line(): the live stats_/net_/dram_.
-    sim::Stats &stats() { return m.stats_; }
-    Cycles
-    send(BankId, TileId src, TileId dst, std::uint32_t bytes,
-         TrafficClass tc)
-    {
-        return m.sendLive(src, dst, bytes, tc);
-    }
-    Cycles
-    dram(Addr line, bool is_write)
-    {
-        return m.dram_.access(line, is_write);
-    }
-
-    Probe
-    probe(BankId home, Addr pline, bool is_write)
-    {
-        return m.probeL3Line(home, pline, is_write, *this);
-    }
-    Cycles
-    seTlbProbe(BankId bank, Addr vpage)
-    {
-        return m.seTlbProbe(bank, vpage, m.stats_);
-    }
-    void
-    coreBusy(CoreId core, double cycles)
-    {
-        m.chargeCoreBusy(core, cycles);
-    }
-    void
-    mlpPenalty(CoreId core, Cycles latency, const Probe &)
-    {
-        m.chargeCoreBusy(core, double(latency) / m.tp_.coreMaxMlp);
-    }
-};
-
-struct Machine::RecordSink
-{
-    Machine &m;
-
-    /** Queued at @p queue_bank; the latency is load-independent. */
-    Cycles
-    send(BankId queue_bank, TileId src, TileId dst, std::uint32_t bytes,
-         TrafficClass tc)
-    {
-        m.log_->bank[queue_bank].push_back(
-            {.arg = bytes,
-             .src = static_cast<std::uint16_t>(src),
-             .dst = static_cast<std::uint16_t>(dst),
-             .kind = BankEvent::netSend,
-             .flags = static_cast<std::uint8_t>(tc)});
-        return m.net_.latencyOf(src, dst, bytes);
-    }
-    /** Resolved at replay: reports a hit with no miss latency. */
-    Probe
-    probe(BankId home, Addr pline, bool is_write)
-    {
-        Probe p;
-        p.slot = m.log_->numSlots++;
-        m.log_->bank[home].push_back(
-            {.addr = pline,
-             .arg = p.slot,
-             .kind = BankEvent::l3Probe,
-             .flags = is_write ? BankEvent::probeWrite : std::uint8_t(0)});
-        return p;
-    }
-    Cycles
-    seTlbProbe(BankId bank, Addr vpage)
-    {
-        m.log_->bank[bank].push_back(
-            {.addr = vpage, .kind = BankEvent::seTlbProbe});
-        return 0;
-    }
-    void
-    coreBusy(CoreId core, double cycles)
-    {
-        m.log_->core[core].push_back(
-            {.a = std::bit_cast<std::uint64_t>(cycles),
-             .kind = CoreEvent::constBusy});
-    }
-    /** Wave two adds the probe's miss latency once wave one knows it. */
-    void
-    mlpPenalty(CoreId core, Cycles latency, const Probe &p)
-    {
-        m.log_->core[core].push_back(
-            {.a = latency, .slot = p.slot, .kind = CoreEvent::mlpPenalty});
-    }
-};
-
-/** A replay worker's ReplayDelta as probeL3Line()'s counter target. */
-struct Machine::DeltaCounters
-{
-    Machine &m;
-    ReplayDelta &d;
-
-    sim::Stats &stats() { return d.stats; }
-    Cycles
-    send(BankId, TileId src, TileId dst, std::uint32_t bytes,
-         TrafficClass tc)
-    {
-        return m.net_.send(src, dst, bytes, tc, d.stats, d.net);
-    }
-    /** Counted per channel; Dram::chargeDeferred folds the occupancy. */
-    Cycles
-    dram(Addr line, bool)
-    {
-        d.dramChannel[m.dram_.channelOf(line)] += 1;
-        d.stats.dramAccesses += 1;
-        d.stats.dramBytes += m.cfg_.lineSize;
-        return m.dram_.latency();
-    }
-};
-
-template <class Counters>
 Machine::Probe
-Machine::probeL3Line(BankId home, Addr pline, bool is_write, Counters &to)
+Machine::probeL3Line(BankId home, Addr pline, bool is_write)
 {
-    sim::Stats &s = to.stats();
-    s.l3Accesses += 1;
+    stats_.l3Accesses += 1;
     const auto res = l3Banks_[home].access(pline, is_write);
     if (metrics_)
         metrics_->bankAccess(home, res.hit);
     Probe p;
     p.hit = res.hit;
     if (!res.hit) {
-        s.l3Misses += 1;
+        stats_.l3Misses += 1;
         const TileId ctrl = dram_.controllerTile(dram_.channelOf(pline));
-        p.extra += to.send(home, bankTile_[home], ctrl, tp_.controlBytes,
-                           TrafficClass::control);
-        p.extra += to.dram(pline, is_write);
-        p.extra += to.send(home, ctrl, bankTile_[home],
-                           cfg_.lineSize + tp_.controlBytes,
-                           TrafficClass::data);
+        p.extra += send(bankTile_[home], ctrl, tp_.controlBytes,
+                        TrafficClass::control);
+        p.extra += dram_.access(pline, is_write);
+        p.extra += send(ctrl, bankTile_[home],
+                        cfg_.lineSize + tp_.controlBytes, TrafficClass::data);
     }
     if (res.writeback)
-        writeBackL3Victim(home, res.victimLine, to);
+        writeBackL3Victim(home, res.victimLine);
     return p;
 }
 
-template <class Counters>
 void
-Machine::writeBackL3Victim(BankId home, Addr victim, Counters &to)
+Machine::writeBackL3Victim(BankId home, Addr victim)
 {
     // The dirty victim travels to its DRAM controller off the critical
     // path.
     const TileId ctrl = dram_.controllerTile(dram_.channelOf(victim));
-    to.send(home, bankTile_[home], ctrl, cfg_.lineSize + tp_.controlBytes,
-            TrafficClass::data);
-    to.dram(victim, true);
-}
-
-template <class Body>
-decltype(auto)
-Machine::withSink(Body &&body)
-{
-    if (deferActive_) {
-        RecordSink sink{*this};
-        return body(sink);
-    }
-    InlineSink sink{*this};
-    return body(sink);
+    send(bankTile_[home], ctrl, cfg_.lineSize + tp_.controlBytes,
+         TrafficClass::data);
+    dram_.access(victim, true);
 }
 
 Cycles
-Machine::sendLive(TileId src, TileId dst, std::uint32_t bytes,
-                  TrafficClass tc)
+Machine::send(TileId src, TileId dst, std::uint32_t bytes, TrafficClass tc)
 {
     const Cycles latency = net_.send(src, dst, bytes, tc);
     if (!inEpoch_)
@@ -735,20 +575,8 @@ Machine::sendLive(TileId src, TileId dst, std::uint32_t bytes,
 }
 
 Cycles
-Machine::send(BankId queue_bank, TileId src, TileId dst,
-              std::uint32_t bytes, TrafficClass tc)
-{
-    return withSink([&](auto &sink) {
-        return sink.send(queue_bank, src, dst, bytes, tc);
-    });
-}
-
-Cycles
 Machine::ioWrite(TileId ingress, Addr vaddr, std::uint32_t bytes)
 {
-    SIM_REQUIRE("nsc", !deferActive_,
-                "ioWrite is not supported inside deferred epochs "
-                "(I/O injector epochs must be classic)");
     SIM_REQUIRE("nsc", ingress < cfg_.numTiles(),
                 "I/O ingress tile %u outside the %u-tile mesh", ingress,
                 cfg_.numTiles());
@@ -767,9 +595,8 @@ Machine::ioWrite(TileId ingress, Addr vaddr, std::uint32_t bytes)
             // occupancy is untouched.
             const std::uint32_t ch = dram_.channelOf(pline);
             const TileId ctrl = dram_.controllerTile(ch);
-            total += sendLive(ingress, ctrl,
-                              cfg_.lineSize + tp_.controlBytes,
-                              TrafficClass::data);
+            total += send(ingress, ctrl, cfg_.lineSize + tp_.controlBytes,
+                          TrafficClass::data);
             total += dram_.access(pline, true);
             continue;
         }
@@ -778,9 +605,8 @@ Machine::ioWrite(TileId ingress, Addr vaddr, std::uint32_t bytes)
         // allocation needs no DRAM fill (the device supplies the full
         // line); only dirty victims travel to memory.
         const BankId home = mapper_.bankOf(paddr);
-        total += sendLive(ingress, bankTile_[home],
-                          cfg_.lineSize + tp_.controlBytes,
-                          TrafficClass::data);
+        total += send(ingress, bankTile_[home],
+                      cfg_.lineSize + tp_.controlBytes, TrafficClass::data);
         stats_.l3Accesses += 1;
         chargeBankBusy(home, tp_.l3ServiceCycles);
         const auto res =
@@ -792,19 +618,15 @@ Machine::ioWrite(TileId ingress, Addr vaddr, std::uint32_t bytes)
         if (!res.hit)
             stats_.l3Misses += 1;
         total += cfg_.l3Latency;
-        if (res.writeback) {
-            InlineSink live{*this};
-            writeBackL3Victim(home, res.victimLine, live);
-        }
+        if (res.writeback)
+            writeBackL3Victim(home, res.victimLine);
     }
     return total;
 }
 
-template <class Sink>
 AccessOutcome
-Machine::coreAccessVia(Sink &sink, CoreId core, Addr vaddr,
-                       std::uint32_t bytes, AccessType type,
-                       bool prefetch_friendly)
+Machine::coreAccess(CoreId core, Addr vaddr, std::uint32_t bytes,
+                    AccessType type, bool prefetch_friendly)
 {
     AccessOutcome out;
     out.servedBy = 1;
@@ -813,7 +635,7 @@ Machine::coreAccessVia(Sink &sink, CoreId core, Addr vaddr,
     const bool is_write = type != AccessType::read;
 
     for (Addr vline = first; vline <= last; ++vline) {
-        sink.coreBusy(core, tp_.coreIssueCycles);
+        chargeCoreBusy(core, tp_.coreIssueCycles);
 
         if (type != AccessType::atomic) {
             // L1 probe (virtually indexed model).
@@ -836,11 +658,10 @@ Machine::coreAccessVia(Sink &sink, CoreId core, Addr vaddr,
                 const Addr wb_p = os_.pageTable().translate(
                     r2.victimLine * cfg_.lineSize);
                 const BankId wb_home = mapper_.bankOf(wb_p);
-                sink.send(wb_home, core, bankTile_[wb_home],
-                          cfg_.lineSize + tp_.controlBytes,
-                          TrafficClass::data);
+                send(core, bankTile_[wb_home],
+                     cfg_.lineSize + tp_.controlBytes, TrafficClass::data);
                 chargeBankBusy(wb_home, tp_.l3ServiceCycles);
-                sink.probe(wb_home, wb_p / cfg_.lineSize, true);
+                probeL3Line(wb_home, wb_p / cfg_.lineSize, true);
             }
             if (r2.hit) {
                 out.latency += cfg_.l1Latency + cfg_.l2Latency;
@@ -859,10 +680,10 @@ Machine::coreAccessVia(Sink &sink, CoreId core, Addr vaddr,
         out.bank = home;
 
         Cycles lat = tlb_lat;
-        lat += sink.send(home, core, bankTile_[home], tp_.controlBytes,
-                         TrafficClass::control);
+        lat += send(core, bankTile_[home], tp_.controlBytes,
+                    TrafficClass::control);
         chargeBankBusy(home, tp_.l3ServiceCycles);
-        const Probe probe = sink.probe(home, pline, is_write);
+        const Probe probe = probeL3Line(home, pline, is_write);
         lat += cfg_.l3Latency + probe.extra;
         out.servedBy = std::max(out.servedBy, probe.hit ? 3 : 4);
 
@@ -873,49 +694,35 @@ Machine::coreAccessVia(Sink &sink, CoreId core, Addr vaddr,
             if (metrics_)
                 metrics_->bankAtomic(home);
             chargeBankBusy(home, tp_.atomicExtraCycles);
-            lat += sink.send(home, bankTile_[home], core, tp_.controlBytes,
-                             TrafficClass::control);
-            sink.send(home, bankTile_[home], core, tp_.controlBytes,
-                      TrafficClass::control);
+            lat += send(bankTile_[home], core, tp_.controlBytes,
+                        TrafficClass::control);
+            send(bankTile_[home], core, tp_.controlBytes,
+                 TrafficClass::control);
         } else {
-            lat += sink.send(home, bankTile_[home], core,
-                             cfg_.lineSize + tp_.controlBytes,
-                             TrafficClass::data);
+            lat += send(bankTile_[home], core,
+                        cfg_.lineSize + tp_.controlBytes, TrafficClass::data);
         }
         const Cycles latency = cfg_.l1Latency + cfg_.l2Latency + lat;
         out.latency += latency;
         if (!prefetch_friendly) {
             // Irregular L2 miss: the core can only hide coreMaxMlp of
             // these, so sustained throughput is latency / MLP.
-            sink.mlpPenalty(core, latency, probe);
+            chargeCoreBusy(core, double(latency) / tp_.coreMaxMlp);
         }
     }
     return out;
-}
-
-AccessOutcome
-Machine::coreAccess(CoreId core, Addr vaddr, std::uint32_t bytes,
-                    AccessType type, bool prefetch_friendly)
-{
-    return withSink([&](auto &sink) {
-        return coreAccessVia(sink, core, vaddr, bytes, type,
-                             prefetch_friendly);
-    });
 }
 
 void
 Machine::coreCompute(CoreId core, double flops)
 {
     stats_.coreOps += static_cast<std::uint64_t>(flops);
-    withSink([&](auto &sink) {
-        sink.coreBusy(core, flops / tp_.coreFlopsPerCycle);
-    });
+    chargeCoreBusy(core, flops / tp_.coreFlopsPerCycle);
 }
 
-template <class Sink>
 AccessOutcome
-Machine::l3StreamAccessVia(Sink &sink, BankId requester, Addr vaddr,
-                           std::uint32_t bytes, AccessType type)
+Machine::l3StreamAccess(BankId requester, Addr vaddr, std::uint32_t bytes,
+                        AccessType type)
 {
     AccessOutcome out;
     out.servedBy = 3;
@@ -929,8 +736,7 @@ Machine::l3StreamAccessVia(Sink &sink, BankId requester, Addr vaddr,
         // interleave pools translate as direct segments (§4.1).
         Cycles lat = line_vaddr >= mem::poolVirtBase
                          ? 0
-                         : sink.seTlbProbe(requester,
-                                           mem::pageOf(line_vaddr));
+                         : seTlbProbe(requester, mem::pageOf(line_vaddr));
         const Addr paddr = os_.pageTable().translate(line_vaddr);
         const Addr pline = paddr / cfg_.lineSize;
         const BankId home = mapper_.bankOf(paddr);
@@ -939,19 +745,18 @@ Machine::l3StreamAccessVia(Sink &sink, BankId requester, Addr vaddr,
         const bool remote = home != requester;
         if (remote) {
             // Indirect request to the home bank.
-            lat += sink.send(home, bankTile_[requester], bankTile_[home],
-                             is_write && type != AccessType::atomic
-                                 ? std::min<std::uint32_t>(bytes,
-                                                           cfg_.lineSize) +
-                                       tp_.controlBytes
-                                 : tp_.controlBytes,
-                             type == AccessType::atomic
-                                 ? TrafficClass::control
-                                 : (is_write ? TrafficClass::data
-                                             : TrafficClass::control));
+            lat += send(bankTile_[requester], bankTile_[home],
+                        is_write && type != AccessType::atomic
+                            ? std::min<std::uint32_t>(bytes, cfg_.lineSize) +
+                                  tp_.controlBytes
+                            : tp_.controlBytes,
+                        type == AccessType::atomic
+                            ? TrafficClass::control
+                            : (is_write ? TrafficClass::data
+                                        : TrafficClass::control));
         }
         chargeBankBusy(home, tp_.l3ServiceCycles);
-        const Probe probe = sink.probe(home, pline, is_write);
+        const Probe probe = probeL3Line(home, pline, is_write);
         lat += cfg_.l3Latency + probe.extra;
         out.servedBy = std::max(out.servedBy, probe.hit ? 3 : 4);
 
@@ -962,34 +767,24 @@ Machine::l3StreamAccessVia(Sink &sink, BankId requester, Addr vaddr,
             chargeBankBusy(home, tp_.atomicExtraCycles);
             noteAtomicStream(home);
             if (remote) {
-                lat += sink.send(home, bankTile_[home], bankTile_[requester],
-                                 tp_.controlBytes, TrafficClass::control);
+                lat += send(bankTile_[home], bankTile_[requester],
+                            tp_.controlBytes, TrafficClass::control);
             }
         } else if (remote) {
             if (!is_write) {
                 const std::uint32_t resp =
                     std::min<std::uint32_t>(bytes, cfg_.lineSize);
-                lat += sink.send(home, bankTile_[home], bankTile_[requester],
-                                 resp + tp_.controlBytes,
-                                 TrafficClass::data);
+                lat += send(bankTile_[home], bankTile_[requester],
+                            resp + tp_.controlBytes, TrafficClass::data);
             } else {
                 // Write ack.
-                lat += sink.send(home, bankTile_[home], bankTile_[requester],
-                                 tp_.controlBytes, TrafficClass::control);
+                lat += send(bankTile_[home], bankTile_[requester],
+                            tp_.controlBytes, TrafficClass::control);
             }
         }
         out.latency += lat;
     }
     return out;
-}
-
-AccessOutcome
-Machine::l3StreamAccess(BankId requester, Addr vaddr, std::uint32_t bytes,
-                        AccessType type)
-{
-    return withSink([&](auto &sink) {
-        return l3StreamAccessVia(sink, requester, vaddr, bytes, type);
-    });
 }
 
 Cycles
@@ -999,15 +794,14 @@ Machine::forwardData(BankId from, BankId to, std::uint32_t bytes)
     // relative to a tag+data bank access.
     chargeBankBusy(from, 0.25);
     chargeBankBusy(to, 0.25);
-    return send(to, bankTile_[from], bankTile_[to], bytes,
-                TrafficClass::data);
+    return send(bankTile_[from], bankTile_[to], bytes, TrafficClass::data);
 }
 
 Cycles
 Machine::migrateStream(BankId from, BankId to)
 {
     stats_.streamMigrations += 1;
-    return send(to, bankTile_[from], bankTile_[to], tp_.migrateBytes,
+    return send(bankTile_[from], bankTile_[to], tp_.migrateBytes,
                 TrafficClass::offload);
 }
 
@@ -1015,7 +809,7 @@ Cycles
 Machine::configStream(CoreId core, BankId first_bank)
 {
     stats_.streamConfigs += 1;
-    return send(first_bank, core, bankTile_[first_bank], tp_.configBytes,
+    return send(core, bankTile_[first_bank], tp_.configBytes,
                 TrafficClass::offload);
 }
 
@@ -1080,9 +874,8 @@ Machine::offloadNack(CoreId core, BankId bank)
             detail::formatMessage("\"core\":%u,\"bank\":%u", core, bank));
     }
     Cycles lat =
-        send(bank, core, bankTile_[bank], tp_.configBytes,
-             TrafficClass::offload);
-    lat += send(bank, bankTile_[bank], core, tp_.controlBytes,
+        send(core, bankTile_[bank], tp_.configBytes, TrafficClass::offload);
+    lat += send(bankTile_[bank], core, tp_.controlBytes,
                 TrafficClass::control);
     return lat;
 }
@@ -1090,8 +883,7 @@ Machine::offloadNack(CoreId core, BankId bank)
 void
 Machine::creditMessage(CoreId core, BankId bank)
 {
-    send(bank, core, bankTile_[bank], tp_.controlBytes,
-         TrafficClass::control);
+    send(core, bankTile_[bank], tp_.controlBytes, TrafficClass::control);
 }
 
 void
@@ -1162,118 +954,6 @@ Machine::flushPrivateCaches()
         c.reset();
     for (auto &c : l2_)
         c.reset();
-}
-
-// ---------------------------------------------------------------------
-// Deferred (shard-parallel) epoch replay.
-// ---------------------------------------------------------------------
-
-void
-Machine::replayBankEvents(BankId b, ReplayDelta &d)
-{
-    DeltaCounters delta{*this, d};
-    for (const BankEvent &ev : log_->bank[b]) {
-        switch (ev.kind) {
-        case BankEvent::l3Probe: {
-            const bool is_write = (ev.flags & BankEvent::probeWrite) != 0;
-            log_->missCycles[ev.arg] = static_cast<std::uint32_t>(
-                probeL3Line(b, ev.addr, is_write, delta).extra);
-            break;
-        }
-        case BankEvent::seTlbProbe:
-            seTlbProbe(b, ev.addr, d.stats);
-            break;
-        case BankEvent::netSend:
-            net_.send(ev.src, ev.dst, ev.arg,
-                      static_cast<TrafficClass>(ev.flags), d.stats, d.net);
-            break;
-        }
-    }
-}
-
-void
-Machine::replayCoreEvents(CoreId c)
-{
-    for (const CoreEvent &ev : log_->core[c]) {
-        if (ev.kind == CoreEvent::constBusy) {
-            coreBusy_[c] += std::bit_cast<double>(ev.a);
-        } else {
-            const std::uint64_t lat = ev.a + log_->missCycles[ev.slot];
-            coreBusy_[c] += double(lat) / tp_.coreMaxMlp;
-        }
-    }
-}
-
-void
-Machine::replayDeferred(bool commit)
-{
-    PROF_SCOPE("machine/epoch.replay");
-    deferActive_ = false;
-    const std::uint32_t banks = cfg_.numBanks();
-    const std::uint32_t cores = cfg_.numTiles();
-    const unsigned T = cfg_.simThreads;
-    if (!pool_ || pool_->threads() != T)
-        pool_ = std::make_unique<sim::WorkerPool>(T);
-    if (replayDeltas_.size() < T)
-        replayDeltas_.resize(T);
-    log_->missCycles.assign(log_->numSlots, 0);
-
-    // Wave one: each worker owns a contiguous bank shard and replays
-    // its queues in serial-projected order. The static shard -> worker
-    // map keeps a shard on the same thread across epochs (warm caches,
-    // and a stable home if AFFALLOC_SIM_PIN pins workers to CPUs).
-    const std::size_t net_pairs = net_.pairSlots();
-    const std::uint32_t channels = cfg_.dramChannels;
-    {
-        PROF_SCOPE("machine/epoch.replay/wave1");
-        pool_->dispatch([&](unsigned w) {
-            ReplayDelta &d = replayDeltas_[w];
-            d.reset(net_pairs, channels);
-            const auto b0 = static_cast<std::uint32_t>(
-                std::uint64_t(banks) * w / T);
-            const auto b1 = static_cast<std::uint32_t>(
-                std::uint64_t(banks) * (w + 1) / T);
-            for (std::uint32_t b = b0; b < b1; ++b)
-                replayBankEvents(b, d);
-        });
-    }
-
-    // Fold the worker deltas in fixed worker order. Everything here is
-    // an integer counter, so the fold is exact at any thread count.
-    {
-        PROF_SCOPE("machine/epoch.replay/fold");
-        if (dramDeferred_.size() != channels)
-            dramDeferred_.assign(channels, 0);
-        else
-            std::fill(dramDeferred_.begin(), dramDeferred_.end(), 0);
-        for (unsigned w = 0; w < T; ++w) {
-            const ReplayDelta &d = replayDeltas_[w];
-            stats_ += d.stats;
-            net_.mergeDelta(d.net);
-            for (std::uint32_t ch = 0; ch < channels; ++ch)
-                dramDeferred_[ch] += d.dramChannel[ch];
-        }
-        dram_.chargeDeferred(dramDeferred_);
-    }
-
-    if (commit) {
-        // Wave two: per-core busy replays need wave one's miss
-        // latencies. Events replay in record order, so the
-        // floating-point accumulation matches classic execution
-        // exactly.
-        PROF_SCOPE("machine/epoch.replay/wave2");
-        pool_->dispatch([&](unsigned w) {
-            const auto c0 = static_cast<std::uint32_t>(
-                std::uint64_t(cores) * w / T);
-            const auto c1 = static_cast<std::uint32_t>(
-                std::uint64_t(cores) * (w + 1) / T);
-            for (std::uint32_t c = c0; c < c1; ++c)
-                replayCoreEvents(c);
-        });
-        for (std::uint32_t c = 0; c < cores; ++c)
-            coreBusyMax_ = std::max(coreBusyMax_, coreBusy_[c]);
-    }
-    log_->clear();
 }
 
 } // namespace affalloc::nsc

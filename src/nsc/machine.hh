@@ -21,7 +21,6 @@
 
 #include <array>
 #include <functional>
-#include <memory>
 #include <vector>
 
 #include "mem/address_space.hh"
@@ -29,13 +28,11 @@
 #include "mem/cache_model.hh"
 #include "mem/dram.hh"
 #include "noc/network.hh"
-#include "nsc/epoch_log.hh"
 #include "obs/observer.hh"
 #include "os/sim_os.hh"
 #include "sim/config.hh"
 #include "sim/stats.hh"
 #include "sim/types.hh"
-#include "sim/worker_pool.hh"
 
 namespace affalloc::nsc
 {
@@ -71,14 +68,7 @@ struct TimingParams
     void validate() const;
 };
 
-/**
- * What happened on a simulated memory access (for callers/tests).
- * Inside a deferred epoch (see Machine::beginEpoch) the L3 probes and
- * SE-TLB lookups run only at replay, after the call returns: `bank`
- * and the L1/L2 levels of `servedBy` stay exact, but `servedBy`
- * reports 3 for every access that reached the L3, and `latency`
- * leaves out the L3-miss round trip to DRAM and the SE-TLB latency.
- */
+/** What happened on a simulated memory access (for callers/tests). */
 struct AccessOutcome
 {
     /** Total unloaded latency of the access. */
@@ -195,21 +185,8 @@ class Machine
     Cycles offloadNack(CoreId core, BankId bank);
 
     // ------------------------------------------------- epoch life-cycle
-    /**
-     * Start a new epoch: clears per-epoch occupancy.
-     *
-     * @param deferrable the epoch body tolerates deferred execution:
-     *        it never reads AccessOutcome latencies or servedBy levels
-     *        from inside the epoch (the bulk affine/graph kernels —
-     *        pointer chasing, which feeds latencies back into its
-     *        floor, must stay classic). With cfg.simThreads > 1 such
-     *        an epoch records bank-owned work into an event log that
-     *        endEpoch() replays shard-parallel; results are
-     *        bit-identical to the serial simulator either way.
-     */
-    void beginEpoch(bool deferrable = false);
-    /** Whether the open epoch is recording for parallel replay. */
-    bool epochDeferred() const { return deferActive_; }
+    /** Start a new epoch: clears per-epoch occupancy. */
+    void beginEpoch();
     /**
      * Close the epoch: duration = max(resource occupancy,
      * latency_floor) + fixed overhead. Advances simulated time,
@@ -264,8 +241,7 @@ class Machine
      * lands follows cfg.llcIoPolicy: ddio allocates freely into the
      * home L3 bank, wayRestrict confines allocation to cfg.llcIoWays
      * ways per set, bypass sends the line straight to DRAM. Returns
-     * the injection latency. Not supported inside deferred epochs
-     * (I/O injector epochs are classic).
+     * the injection latency.
      */
     Cycles ioWrite(TileId ingress, Addr vaddr, std::uint32_t bytes);
 
@@ -348,81 +324,42 @@ class Machine
     /**
      * Fetch the host copy of the L3 tag set that a later probe of
      * @p vaddr's line will read. Changes no simulated state, so it can
-     * never move a digest; a no-op in deferred epochs, whose probes
-     * run later at replay.
+     * never move a digest.
      */
     void
     prefetchL3(Addr vaddr) const
     {
-        if (deferActive_)
-            return;
         const Addr paddr = os_.pageTable().translate(vaddr);
         l3Banks_[mapper_.bankOf(paddr)].prefetch(paddr / cfg_.lineSize);
     }
 
   private:
-    /**
-     * The access paths are written once, as templates over an event
-     * sink that takes every bank-side charge: InlineSink applies it at
-     * once (classic epochs), RecordSink appends it to the EpochLog for
-     * shard-parallel replay (deferred epochs). Bank and SE busy time
-     * is charged inline in both, in program order. An L3 probe counts
-     * into InlineSink (the live stats_/net_/dram_) or, at replay, into
-     * DeltaCounters (one worker's ReplayDelta).
-     */
-    struct InlineSink;
-    struct RecordSink;
-    struct DeltaCounters;
-
-    /** One L3 probe as its sink reports it. */
+    /** One L3 probe's outcome. */
     struct Probe
     {
-        /** Hit at the home bank (a recorded probe reports a hit). */
+        /** Hit at the home bank. */
         bool hit = true;
-        /** Miss latency beyond the bank access (0 when recorded). */
+        /** Miss latency beyond the bank access. */
         Cycles extra = 0;
-        /** Recorded probe: its slot in EpochLog::missCycles. */
-        std::uint32_t slot = 0;
     };
 
-    /** Call @p body with the sink deferActive_ selects. */
-    template <class Body>
-    decltype(auto) withSink(Body &&body);
-
-    template <class Sink>
-    AccessOutcome coreAccessVia(Sink &sink, CoreId core, Addr vaddr,
-                                std::uint32_t bytes, AccessType type,
-                                bool prefetch_friendly);
-    template <class Sink>
-    AccessOutcome l3StreamAccessVia(Sink &sink, BankId requester,
-                                    Addr vaddr, std::uint32_t bytes,
-                                    AccessType type);
-
     /**
-     * Send one message; a deferred epoch queues it on @p queue_bank's
-     * replay queue. Returns its unloaded latency.
+     * Send one message; returns its unloaded latency. Outside an open
+     * epoch it is charged to the links at once, so no pending
+     * (src, dst) pair outlives an epoch and Stats are exact between
+     * epochs.
      */
-    Cycles send(BankId queue_bank, TileId src, TileId dst,
-                std::uint32_t bytes, TrafficClass tc);
-    /**
-     * Send one message on the live network. Outside an open epoch it
-     * is charged to the links at once, so no pending (src, dst) pair
-     * outlives an epoch and Stats are exact between epochs.
-     */
-    Cycles sendLive(TileId src, TileId dst, std::uint32_t bytes,
-                    TrafficClass tc);
+    Cycles send(TileId src, TileId dst, std::uint32_t bytes,
+                TrafficClass tc);
 
     /**
      * Probe L3 at the line's home bank; on miss fetch from DRAM
-     * (request + response messages, channel occupancy, writebacks),
-     * all counted into @p to. The bank busy charge is the caller's.
+     * (request + response messages, channel occupancy, writebacks).
+     * The bank busy charge is the caller's.
      */
-    template <class Counters>
-    Probe probeL3Line(BankId home, Addr pline, bool is_write,
-                      Counters &to);
+    Probe probeL3Line(BankId home, Addr pline, bool is_write);
     /** Send dirty L3 victim @p victim to its DRAM channel. */
-    template <class Counters>
-    void writeBackL3Victim(BankId home, Addr victim, Counters &to);
+    void writeBackL3Victim(BankId home, Addr victim);
 
     /**
      * Core-side address translation: L1 dTLB -> L2 TLB -> page walk
@@ -431,10 +368,10 @@ class Machine
     Cycles coreTranslate(CoreId core, Addr vaddr);
 
     /**
-     * Look @p vpage up in bank @p bank's stream-engine TLB, counting
-     * into @p s. Returns the added translation latency.
+     * Look @p vpage up in bank @p bank's stream-engine TLB. Returns the
+     * added translation latency.
      */
-    Cycles seTlbProbe(BankId bank, Addr vpage, sim::Stats &s);
+    Cycles seTlbProbe(BankId bank, Addr vpage);
 
     /** Busy charges funnel through these to keep running maxima. */
     void
@@ -458,20 +395,6 @@ class Machine
         if (v > seBusyMax_)
             seBusyMax_ = v;
     }
-
-    // ------------------------------------- deferred (parallel) epochs
-    /** Replay one bank's queue into @p d (wave one; worker thread). */
-    void replayBankEvents(BankId b, ReplayDelta &d);
-    /** Replay one core's busy queue (wave two; worker thread). */
-    void replayCoreEvents(CoreId c);
-    /**
-     * Run both replay waves on the worker pool and fold the deltas in
-     * fixed worker order. @p commit false (abortEpoch) still replays
-     * wave one — cache/TLB state and lifetime NoC counters must end
-     * exactly where classic inline execution would have left them —
-     * but skips the wave-two busy charges the abort wipes anyway.
-     */
-    void replayDeferred(bool commit);
 
     /**
      * Recompute the arbitration occupancy scale for the active class
@@ -525,17 +448,6 @@ class Machine
     double coreBusyMax_ = 0.0;
     double seBusyMax_ = 0.0;
 
-    /** Whether the open epoch records for shard-parallel replay. */
-    bool deferActive_ = false;
-    /** Event log for deferred epochs (lazily built; reused). */
-    std::unique_ptr<EpochLog> log_;
-    /** Persistent replay workers (lazily built on first replay). */
-    std::unique_ptr<sim::WorkerPool> pool_;
-    /** Per-worker replay accumulators (reused across epochs). */
-    std::vector<ReplayDelta> replayDeltas_;
-    /** Per-channel deferred DRAM access totals (merge scratch). */
-    std::vector<std::uint64_t> dramDeferred_;
-
     // Per-class attribution (side counters; never in the digest).
     /** Class charged for current activity. */
     AgentClass activeClass_ = AgentClass::ndc;
@@ -553,8 +465,9 @@ class Machine
     /** Between beginEpoch() and endEpoch()/abortEpoch(). */
     bool inEpoch_ = false;
     /** Host ns at beginEpoch() when the profiler is enabled, else 0.
-     *  The record phase spans the whole open epoch, so it cannot be an
-     *  RAII scope; endEpoch()/abortEpoch() close it via addTimed(). */
+     *  The in-epoch phase (machine/epoch.record) spans the whole open
+     *  epoch, so it cannot be an RAII scope; endEpoch()/abortEpoch()
+     *  close it via addTimed(). */
     std::uint64_t epochProfT0_ = 0;
 
     sim::Timeline timeline_;

@@ -179,7 +179,7 @@ StreamExecutor::affineKernel(const std::vector<AffineRef> &loads,
         double(cfg.seComputeInitLatency);
 
     for (std::uint64_t e = 0; e < epochs; ++e) {
-        machine_.beginEpoch(/*deferrable=*/true);
+        machine_.beginEpoch();
         for (std::uint32_t c = 0; c < cores; ++c) {
             const std::uint64_t s0 = std::uint64_t(c) * slice;
             const std::uint64_t s1 =

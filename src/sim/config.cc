@@ -84,10 +84,7 @@ MachineConfig::validate() const
         SIM_FATAL("config", "NoC link width must be nonzero");
     if (epochChunk == 0)
         SIM_FATAL("config", "epoch chunk must be nonzero");
-    if (simThreads == 0)
-        SIM_FATAL("config", "simThreads must be >= 1 (0 would leave no one "
-              "to replay the epoch)");
-    if (faults.offloadRejectRate < 0.0 || faults.offloadRejectRate > 1.0)
+    if (!(faults.offloadRejectRate >= 0.0 && faults.offloadRejectRate <= 1.0))
         SIM_FATAL("config", "offload reject rate %g outside [0, 1]",
               faults.offloadRejectRate);
     if (faults.offlineBanks >= numTiles())

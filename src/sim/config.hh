@@ -19,15 +19,6 @@ namespace affalloc::sim
 {
 
 /**
- * Process-wide default for MachineConfig::simThreads (starts at 1;
- * defined with the worker pool in worker_pool.cc). Flag parsing
- * installs overrides with setDefaultSimThreads() before machines are
- * configured.
- */
-unsigned defaultSimThreads();
-void setDefaultSimThreads(unsigned n);
-
-/**
  * How bank ids map onto mesh tiles (§4.1 "Other Interleave Patterns":
  * more sophisticated interleavings "can be supported by changing how
  * L3 banks are numbered"). The 1D pool interleave of Eq. 1 walks bank
@@ -206,19 +197,12 @@ struct MachineConfig
      */
     std::uint64_t poolCapacityBytes = 0;
 
-    // ------------------------------------------------ parallel simulation
     /**
-     * Worker threads for shard-parallel epoch replay (1 = the classic
-     * serial simulator). Parallelism is an implementation detail of
-     * endEpoch(): results are bit-identical at any thread count, so
-     * this knob trades host cores for wall-clock only. The default
-     * follows the process-wide setting installed by --sim-threads /
-     * AFFALLOC_SIM_THREADS parsing. Kept deliberately uncapped here
-     * (only >= 1 is validated) so programmatic configs — e.g. the
-     * 7-thread shard-split test — work on any host; strict host-aware
-     * validation lives at the flag parsers.
+     * Unread: the simulator has one serial epoch path. Kept only
+     * because perfbench/driver.cc assigns it; it goes with the next
+     * change to the benchmark.
      */
-    std::uint32_t simThreads = defaultSimThreads();
+    std::uint32_t simThreads = 1;
 
     // ----------------------------------------------------- fault injection
     /** Fault campaign drawn at machine construction (default: none). */

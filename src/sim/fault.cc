@@ -196,7 +196,7 @@ FaultPlan::FaultPlan(const FaultConfig &cfg, std::uint32_t mesh_x,
     const std::uint32_t num_banks = mesh_x * mesh_y;
     if (num_banks == 0)
         SIM_FATAL("fault", "fault plan over an empty mesh");
-    if (cfg.offloadRejectRate < 0.0 || cfg.offloadRejectRate > 1.0)
+    if (!(cfg.offloadRejectRate >= 0.0 && cfg.offloadRejectRate <= 1.0))
         SIM_FATAL("fault", "offload reject rate %g outside [0, 1]",
               cfg.offloadRejectRate);
     if (cfg.offlineBanks >= num_banks)

@@ -2,8 +2,8 @@
  * @file
  * Host-side run telemetry: a low-overhead hierarchical phase profiler
  * for the simulator *itself* (where does wall-clock go inside a run —
- * epoch record vs. shard replay, allocator metadata vs. memory-system
- * charging), plus worker-pool utilization telemetry, run-level memory
+ * epochs vs. audits, allocator metadata vs. memory-system charging),
+ * plus worker-pool utilization telemetry, run-level memory
  * telemetry (peak RSS, per-tenant arena footprints), named counters,
  * and a stderr progress heartbeat for long serving/chaos runs.
  *
@@ -263,7 +263,7 @@ struct PoolTelemetry
 {
     /** Roles, including the dispatching caller. */
     unsigned threads = 0;
-    /** dispatch() barriers executed (replay waves, sweep batches). */
+    /** dispatch() barriers executed (sweep batches). */
     std::uint64_t dispatches = 0;
     /** Per-role total busy nanoseconds inside dispatched bodies. */
     std::vector<std::uint64_t> busyNs;
@@ -271,8 +271,8 @@ struct PoolTelemetry
      *  critical path). */
     std::uint64_t sumMaxTaskNs = 0;
     /** Sum over dispatches of all roles' task-ns. sumMaxTaskNs *
-     *  threads / sumTaskNs is the shard-imbalance ratio (1.0 =
-     *  perfectly balanced waves). */
+     *  threads / sumTaskNs is the imbalance ratio (1.0 =
+     *  perfectly balanced dispatches). */
     std::uint64_t sumTaskNs = 0;
 };
 

@@ -2,51 +2,11 @@
 
 #include <algorithm>
 #include <atomic>
-#include <cstdlib>
 #include <memory>
 #include <mutex>
 
-#include "sim/log.hh"
-
-#if defined(__linux__)
-#include <pthread.h>
-#include <sched.h>
-#endif
-
 namespace affalloc::sim
 {
-
-namespace
-{
-
-/** Whether workers pin themselves to host CPUs (AFFALLOC_SIM_PIN=1). */
-bool
-pinWorkers()
-{
-    static const bool pin = [] {
-        const char *env = std::getenv("AFFALLOC_SIM_PIN");
-        return env != nullptr && *env != '\0' && *env != '0';
-    }();
-    return pin;
-}
-
-void
-pinToCpu(unsigned role)
-{
-#if defined(__linux__)
-    const unsigned hw = std::thread::hardware_concurrency();
-    if (hw == 0)
-        return;
-    cpu_set_t set;
-    CPU_ZERO(&set);
-    CPU_SET(role % hw, &set);
-    pthread_setaffinity_np(pthread_self(), sizeof(set), &set);
-#else
-    (void)role;
-#endif
-}
-
-} // namespace
 
 namespace
 {
@@ -105,8 +65,6 @@ WorkerPool::runRole(unsigned role)
 void
 WorkerPool::workerLoop(unsigned role)
 {
-    if (pinWorkers())
-        pinToCpu(role);
     std::uint64_t seen = 0;
     for (;;) {
         {
@@ -183,25 +141,6 @@ WorkerPool::telemetrySnapshot() const
     t.sumMaxTaskNs = sumMaxTaskNs_.load(std::memory_order_relaxed);
     t.sumTaskNs = sumTaskNs_.load(std::memory_order_relaxed);
     return t;
-}
-
-namespace
-{
-std::atomic<unsigned> defaultSimThreads_{1};
-} // namespace
-
-unsigned
-defaultSimThreads()
-{
-    return defaultSimThreads_.load(std::memory_order_relaxed);
-}
-
-void
-setDefaultSimThreads(unsigned n)
-{
-    if (n == 0)
-        SIM_FATAL("sim", "sim-threads must be >= 1 (0 given)");
-    defaultSimThreads_.store(n, std::memory_order_relaxed);
 }
 
 WorkerPool &

@@ -1,11 +1,9 @@
 /**
  * @file
- * Persistent worker pool for shard-parallel simulation. One pool owns
- * N-1 long-lived threads plus the calling thread; dispatch() hands
- * every role a fixed index, so work sharded by role index keeps
- * landing on the same host thread across epochs (the
- * affinity_partitioner idiom: a shard's bank models stay warm in the
- * caches of the core that replayed them last epoch).
+ * Persistent worker pool for the sweep runner. One pool owns N-1
+ * long-lived threads plus the calling thread; dispatch() hands every
+ * role a fixed index, so back-to-back sweeps reuse the same threads
+ * instead of spawning and joining fresh ones per call.
  */
 
 #ifndef AFFALLOC_SIM_WORKER_POOL_HH
@@ -87,19 +85,6 @@ class WorkerPool
     unsigned pending_ = 0;
     bool stop_ = false;
 };
-
-/**
- * Process-wide default for MachineConfig::simThreads. Starts at 1
- * (classic serial simulation); flag parsing installs overrides via
- * setDefaultSimThreads(). Deliberately does not read the environment
- * itself — AFFALLOC_SIM_THREADS is parsed (and validated) by the CLI
- * and by harness::applySimThreads so invalid values fail loudly at
- * startup instead of deep inside a run.
- */
-unsigned defaultSimThreads();
-
-/** Install the process-wide simThreads default (>= 1; 0 is fatal). */
-void setDefaultSimThreads(unsigned n);
 
 /**
  * A lazily-built process-wide pool with at least @p threads roles,

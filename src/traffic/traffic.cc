@@ -42,10 +42,7 @@ makeHostAgent(const HostAgentParams &p)
         Rng rng(seed);
         std::uint64_t cursor = 0;
         for (std::uint32_t e = 0; e < cap && !drainRequested(ctx); ++e) {
-            // Plain cacheline traffic tolerates deferral: the agent
-            // never reads latencies back, so its epochs shard-replay
-            // under --sim-threads like the bulk kernels do.
-            ctx.machine.beginEpoch(/*deferrable=*/true);
+            ctx.machine.beginEpoch();
             for (std::uint32_t op = 0; op < p.opsPerEpoch; ++op) {
                 const bool strided = rng.chance(p.strideFraction);
                 const bool write = rng.chance(p.writeFraction);
@@ -88,8 +85,7 @@ makeIoStream(const IoStreamParams &p)
 
         Rng rng(seed);
         for (std::uint32_t e = 0; e < cap && !drainRequested(ctx); ++e) {
-            // I/O epochs stay classic (ioWrite only runs inline).
-            ctx.machine.beginEpoch(/*deferrable=*/false);
+            ctx.machine.beginEpoch();
             // One DMA burst per epoch: a seeded start, then
             // consecutive lines — the sequential pattern real
             // descriptor rings produce.

@@ -8,9 +8,8 @@
  * with an explicit runner and a non-ndc AgentClass — so they get the
  * same deterministic quantum interleaving, RNG substreams, and exact
  * stats attribution as NDC tenants. The flag parsers for the
- * interference CLI surface live here too, following the
- * applySimThreads contract: garbage dies at parse time with a clear
- * message, never mid-run.
+ * interference CLI surface live here too: garbage dies at parse time
+ * with a clear message, never mid-run.
  */
 
 #ifndef AFFALLOC_TRAFFIC_TRAFFIC_HH

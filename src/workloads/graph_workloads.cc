@@ -365,7 +365,7 @@ vertexPass(RunContext &ctx, std::uint32_t num_v, std::uint32_t chunk,
     const std::uint64_t slice = (num_v + slices - 1) / slices;
     const std::uint64_t epochs = (slice + chunk - 1) / chunk;
     for (std::uint64_t e = 0; e < epochs; ++e) {
-        ctx.machine.beginEpoch(/*deferrable=*/true);
+        ctx.machine.beginEpoch();
         for (std::uint32_t c = 0; c < slices; ++c) {
             const std::uint64_t s0 = std::uint64_t(c) * slice;
             const std::uint64_t s1 =
@@ -396,7 +396,7 @@ frontierPass(RunContext &ctx,
         longest = std::max<std::uint64_t>(longest, w.size());
     const std::uint64_t epochs = (longest + chunk - 1) / chunk;
     for (std::uint64_t e = 0; e < epochs; ++e) {
-        ctx.machine.beginEpoch(/*deferrable=*/true);
+        ctx.machine.beginEpoch();
         for (std::uint32_t c = 0; c < work.size(); ++c) {
             const std::uint64_t e0 = e * chunk;
             const std::uint64_t e1 =
@@ -1028,7 +1028,7 @@ runSsspPq(RunContext &ctx, const GraphParams &p)
         64ull * std::max<std::uint64_t>(g.numEdges(), 1);
     bool drained = false;
     while (!drained && processed < guard) {
-        ctx.machine.beginEpoch(/*deferrable=*/true);
+        ctx.machine.beginEpoch();
         for (std::uint32_t c = 0; c < slices; ++c) {
             ds::PqEntry e;
             bool got;

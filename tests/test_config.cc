@@ -1,5 +1,7 @@
 #include <gtest/gtest.h>
 
+#include <cmath>
+
 #include "sim/config.hh"
 #include "sim/log.hh"
 
@@ -49,6 +51,16 @@ TEST(Config, ValidateRejectsTooManyChannels)
     MachineConfig cfg;
     cfg.dramChannels = 100;
     EXPECT_THROW(cfg.validate(), FatalError);
+}
+
+TEST(Config, ValidateRejectsNanOrOutOfRangeRejectRate)
+{
+    // NaN compares false against both bounds of the range check.
+    for (const double rate : {std::nan(""), -0.1, 1.5}) {
+        MachineConfig cfg;
+        cfg.faults.offloadRejectRate = rate;
+        EXPECT_THROW(cfg.validate(), FatalError) << rate;
+    }
 }
 
 TEST(Config, ToStringMentionsKeyParameters)

@@ -3,7 +3,7 @@
  * Tests for the host-side performance fast paths and their oracles:
  * the software TLB in front of the page table and the sorted/MRU
  * Interleave Override Table (each against a plain test-local model),
- * the NoC's deferred per-pair charging over the route table and the
+ * the NoC's lazy per-pair charging over the route table and the
  * large-mesh coordinate walk (against a test-local X-Y walk, on the
  * raw Network and through Machine epochs), the AddressSpace host-granule index, and the
  * parallel sweep runner.
@@ -590,9 +590,8 @@ expectMatchesOracle(noc::Network &net, const sim::Stats &stats,
 }
 
 /**
- * Random sends into the raw Network, half of the batches through a
- * replay NetDelta folded in afterwards. Links are degraded between
- * two sends with only the flush the Network asks for in between, so
+ * Random sends into the raw Network. Links are degraded between two
+ * sends with only the flush the Network asks for in between, so
  * pending pairs must be charged at the multiplier they were sent at.
  */
 void
@@ -614,16 +613,10 @@ randomSendsMatchXyWalk(std::uint32_t mesh_x, std::uint32_t mesh_y)
 
     std::mt19937_64 rng(mesh_x * 1000 + mesh_y);
     const auto below = [&](std::uint64_t n) { return rng() % n; };
-    noc::NetDelta delta;
-    sim::Stats delta_stats;
     for (int batch = 0; batch < 120; ++batch) {
         SCOPED_TRACE("batch " + std::to_string(batch));
-        // Half the batches charge a replay delta folded in afterwards.
-        const bool via_delta = batch % 2 == 1;
-        delta.reset(net.pairSlots());
-        delta_stats = sim::Stats{};
         for (int i = 0; i < 50; ++i) {
-            if (!via_delta && batch % 5 == 4 && i == 25) {
+            if (batch % 5 == 4 && i == 25) {
                 // Degrade one more link mid-batch, as fault injection
                 // does: charge what is pending at the old multiplier.
                 net.flush();
@@ -637,16 +630,9 @@ randomSendsMatchXyWalk(std::uint32_t mesh_x, std::uint32_t mesh_y)
             const auto tc = TrafficClass(below(numTrafficClasses));
             const std::uint32_t hop_count =
                 oracle.send(src, dst, net.flitsFor(bytes), tc);
-            const Cycles lat =
-                via_delta
-                    ? net.send(src, dst, bytes, tc, delta_stats, delta)
-                    : net.send(src, dst, bytes, tc);
+            const Cycles lat = net.send(src, dst, bytes, tc);
             ASSERT_EQ(lat, Cycles(hop_count) * cfg.hopLatency +
                                net.flitsFor(bytes) - 1);
-        }
-        if (via_delta) {
-            stats += delta_stats;
-            net.mergeDelta(delta);
         }
         expectMatchesOracle(net, stats, oracle);
         if (batch % 7 == 6) {
@@ -659,22 +645,18 @@ randomSendsMatchXyWalk(std::uint32_t mesh_x, std::uint32_t mesh_y)
 
 /**
  * The same walk through nsc::Machine: bank-to-bank messages inside
- * classic and (at @p sim_threads > 1) recorded epochs, some epochs
- * aborted, some messages sent outside any epoch, and links degraded
- * between two sends of a classic epoch with no counter read in
- * between. An aborted epoch rewinds every Stats counter, degraded-link
- * flits included, but keeps its lifetime link flits.
+ * epochs, some epochs aborted, some messages sent outside any epoch,
+ * and links degraded between two sends of an epoch with no counter
+ * read in between. An aborted epoch rewinds every Stats counter,
+ * degraded-link flits included, but keeps its lifetime link flits.
  */
 void
-machineEpochsMatchXyWalk(std::uint32_t mesh_x, std::uint32_t mesh_y,
-                         unsigned sim_threads)
+machineEpochsMatchXyWalk(std::uint32_t mesh_x, std::uint32_t mesh_y)
 {
-    SCOPED_TRACE(std::to_string(mesh_x) + "x" + std::to_string(mesh_y) +
-                 " sim-threads " + std::to_string(sim_threads));
+    SCOPED_TRACE(std::to_string(mesh_x) + "x" + std::to_string(mesh_y));
     sim::MachineConfig cfg;
     cfg.meshX = mesh_x;
     cfg.meshY = mesh_y;
-    cfg.simThreads = sim_threads;
     cfg.faults.degradedLinks = 6;
     cfg.l3BankSizeBytes = 4 * 1024;
     os::SimOS sim_os(cfg);
@@ -683,7 +665,7 @@ machineEpochsMatchXyWalk(std::uint32_t mesh_x, std::uint32_t mesh_y,
     const std::uint32_t banks = cfg.numBanks();
     XyOracle oracle(net.mesh(), m.faultPlan());
 
-    std::mt19937_64 rng(mesh_x * 1000 + mesh_y + sim_threads);
+    std::mt19937_64 rng(mesh_x * 1000 + mesh_y);
     const auto below = [&](std::uint64_t n) { return rng() % n; };
     const auto forward = [&] {
         const auto from = static_cast<BankId>(below(banks));
@@ -700,15 +682,12 @@ machineEpochsMatchXyWalk(std::uint32_t mesh_x, std::uint32_t mesh_y,
             forward();
         expectMatchesOracle(net, m.stats(), oracle);
 
-        const bool deferred = sim_threads > 1 && below(2) == 0;
-        m.beginEpoch(deferred);
+        m.beginEpoch();
         std::fill(oracle.epoch.begin(), oracle.epoch.end(), 0);
         const XyOracle at_begin = oracle;
         const int sends = 20 + static_cast<int>(below(40));
         for (int i = 0; i < sends; ++i) {
-            // A deferred epoch replays its sends at its end, so only a
-            // classic one may see a link change mid-epoch.
-            if (!deferred && i == sends / 2 && below(3) == 0) {
+            if (i == sends / 2 && below(3) == 0) {
                 m.injectLinkDegrade(
                     noc::Mesh::linkOf(static_cast<TileId>(below(banks)),
                                       noc::Direction(below(4))),
@@ -750,10 +729,8 @@ TEST(NetworkRoutes, CoordinateWalkMatchesXyWalk)
 
 TEST(NetworkRoutes, MachineEpochsMatchXyWalk)
 {
-    for (const unsigned threads : {1u, 2u}) {
-        machineEpochsMatchXyWalk(8, 8, threads);
-        machineEpochsMatchXyWalk(17, 16, threads);
-    }
+    machineEpochsMatchXyWalk(8, 8);
+    machineEpochsMatchXyWalk(17, 16);
 }
 
 TEST(NetworkRoutes, DegradeWithPendingPairsPanics)

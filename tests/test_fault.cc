@@ -9,6 +9,7 @@
 
 #include <gtest/gtest.h>
 
+#include <cmath>
 #include <cstring>
 #include <set>
 
@@ -167,6 +168,8 @@ TEST(FaultPlan, InvalidConfigsAreFatal)
                  FatalError);
     sim::FaultConfig bad_rate;
     bad_rate.offloadRejectRate = 1.5;
+    EXPECT_THROW(sim::FaultPlan(bad_rate, kMeshX, kMeshY), FatalError);
+    bad_rate.offloadRejectRate = std::nan("");
     EXPECT_THROW(sim::FaultPlan(bad_rate, kMeshX, kMeshY), FatalError);
     sim::FaultConfig bad_factor;
     bad_factor.degradedLinks = 1;

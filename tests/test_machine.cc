@@ -1,6 +1,10 @@
 #include <gtest/gtest.h>
 
+#include <vector>
+
+#include "mem/address.hh"
 #include "sim/log.hh"
+#include "sim/stats.hh"
 
 #include "test_helpers.hh"
 
@@ -181,4 +185,123 @@ TEST(Machine, DirtyL3EvictionsWriteBack)
     const auto &s = f.machine->stats();
     EXPECT_GT(s.dramBytes, 0u);
     EXPECT_GT(s.l3Misses, 0u);
+}
+
+// ------------------------------------------------------ aborted epochs
+
+namespace
+{
+
+/** Lines abortableWork() reads: twice the L1, well within the L2. */
+constexpr Addr abortableLines = 1024;
+/** Pages it touches with atomics: twice the L1 TLB's 64 entries. */
+constexpr Addr abortablePages = 128;
+
+/**
+ * Every registered Stats counter of @p a equals @p b's. Compared one
+ * by one: the digest's additive fold can cancel two counters that
+ * move by the same power of two.
+ */
+void
+expectSameStats(const sim::Stats &a, const sim::Stats &b)
+{
+    for (const sim::CounterRef &c : sim::statsCounters())
+        EXPECT_EQ(c.get(a), c.get(b)) << c.name;
+}
+
+/** Index @p i of a walk up [0, n) and back down. */
+Addr
+upAndDown(Addr i, Addr n)
+{
+    return i < n ? i : 2 * n - 1 - i;
+}
+
+/**
+ * Core reads, core atomics (which skip the L1/L2 and translate through
+ * the core TLBs) and a remote stream write. Reads and atomics walk up
+ * and back down, so a rerun starts on what the L1 and the L1 TLB hold.
+ */
+void
+abortableWork(nsc::Machine &m, Addr sim)
+{
+    for (Addr i = 0; i < 2 * abortableLines; ++i)
+        m.coreAccess(0, sim + upAndDown(i, abortableLines) * 64, 64,
+                     AccessType::read);
+    for (Addr i = 0; i < 2 * abortablePages; ++i)
+        m.coreAccess(0, sim + upAndDown(i, abortablePages) * mem::pageSize,
+                     8, AccessType::atomic);
+    m.l3StreamAccess(5, sim, 512, AccessType::write);
+}
+
+} // namespace
+
+TEST(MachineEpoch, AbortRewindsStatsExactly)
+{
+    // Degraded links put degraded-link flits among the rewound Stats.
+    sim::MachineConfig cfg;
+    cfg.faults.degradedLinks = 8;
+    os::SimOS sim_os(cfg);
+    nsc::Machine machine(cfg, sim_os);
+    alloc::AffinityAllocator allocator(machine, {});
+    const Addr sim = machine.addressSpace().simAddrOf(
+        allocator.allocPlain(abortablePages * mem::pageSize));
+
+    const sim::Stats pre = machine.stats();
+    machine.beginEpoch();
+    abortableWork(machine, sim);
+    EXPECT_GT(machine.stats().l3Misses, pre.l3Misses);
+    machine.abortEpoch();
+
+    sim::Stats post = machine.stats();
+    EXPECT_EQ(post.abortedEpochs, pre.abortedEpochs + 1);
+    post.abortedEpochs = pre.abortedEpochs;
+    expectSameStats(post, pre);
+    EXPECT_FALSE(machine.inEpoch());
+}
+
+TEST(MachineEpoch, AbortKeepsCacheStateAndLifetimeFlits)
+{
+    // Only Stats and the per-epoch occupancy rewind: the caches, TLBs
+    // and lifetime link counters end where the committed epoch leaves
+    // them, so a follow-up epoch of the same work charges the same.
+    struct Outcome
+    {
+        std::vector<mem::CacheModel> l3;
+        std::vector<std::uint64_t> lifetimeLinkFlits;
+        sim::Stats followUp;
+    };
+    const auto run = [](bool abort) {
+        sim::MachineConfig cfg;
+        os::SimOS sim_os(cfg);
+        nsc::Machine m(cfg, sim_os);
+        alloc::AffinityAllocator allocator(m, {});
+        const Addr sim = m.addressSpace().simAddrOf(
+            allocator.allocPlain(abortablePages * mem::pageSize));
+        m.beginEpoch();
+        abortableWork(m, sim);
+        if (abort)
+            m.abortEpoch();
+        else
+            m.endEpoch();
+        Outcome o;
+        for (BankId b = 0; b < cfg.numBanks(); ++b)
+            o.l3.push_back(m.l3Bank(b));
+        o.lifetimeLinkFlits = m.network().lifetimeLinkFlits();
+        const sim::Stats before = m.stats();
+        m.beginEpoch();
+        abortableWork(m, sim);
+        m.endEpoch();
+        o.followUp = m.stats() - before;
+        return o;
+    };
+    const Outcome committed = run(false);
+    const Outcome aborted = run(true);
+    for (std::size_t b = 0; b < committed.l3.size(); ++b)
+        EXPECT_TRUE(aborted.l3[b] == committed.l3[b]) << "L3 bank " << b;
+    std::uint64_t flits = 0;
+    for (const std::uint64_t f : committed.lifetimeLinkFlits)
+        flits += f;
+    EXPECT_GT(flits, 0u);
+    EXPECT_EQ(aborted.lifetimeLinkFlits, committed.lifetimeLinkFlits);
+    expectSameStats(aborted.followUp, committed.followUp);
 }

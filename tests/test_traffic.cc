@@ -4,7 +4,7 @@
  * way-capped cache primitive, the LLC I/O-policy ablation (DDIO vs.
  * way-restricted vs. bypass), per-class stats attribution
  * conservation, class-arbitration scaling, and digest invariance of
- * mixed-class co-runs across rerun / --jobs / --sim-threads.
+ * mixed-class co-runs across rerun and --jobs.
  */
 
 #include <gtest/gtest.h>
@@ -385,12 +385,11 @@ namespace
 {
 
 tenant::CorunOptions
-mixedOpts(std::uint32_t sim_threads)
+mixedOpts()
 {
     tenant::CorunOptions opts;
     opts.quick = true;
     opts.solo = false;
-    opts.machine.simThreads = sim_threads;
     opts.machine.simcheck.audit = true; // class-conservation each epoch
     return opts;
 }
@@ -412,8 +411,8 @@ mixedSpecs()
 
 TEST(TrafficCorun, MixedClassRerunDigestsIdentical)
 {
-    const tenant::CorunReport a = runCorun(mixedSpecs(), mixedOpts(1));
-    const tenant::CorunReport b = runCorun(mixedSpecs(), mixedOpts(1));
+    const tenant::CorunReport a = runCorun(mixedSpecs(), mixedOpts());
+    const tenant::CorunReport b = runCorun(mixedSpecs(), mixedOpts());
     EXPECT_TRUE(a.allValid);
     EXPECT_EQ(a.digest(), b.digest());
     // Classes survive into the report, foreground first.
@@ -425,24 +424,6 @@ TEST(TrafficCorun, MixedClassRerunDigestsIdentical)
     EXPECT_EQ(a.tenants[2].run.cls, AgentClass::io);
 }
 
-TEST(TrafficCorun, SimThreadsDigestInvariance)
-{
-    const tenant::CorunReport serial =
-        runCorun(mixedSpecs(), mixedOpts(1));
-    const tenant::CorunReport sharded =
-        runCorun(mixedSpecs(), mixedOpts(4));
-    EXPECT_TRUE(serial.allValid);
-    EXPECT_TRUE(sharded.allValid);
-    EXPECT_EQ(serial.digest(), sharded.digest());
-    ASSERT_EQ(serial.tenants.size(), sharded.tenants.size());
-    for (std::size_t i = 0; i < serial.tenants.size(); ++i) {
-        EXPECT_EQ(serial.tenants[i].finishCycle,
-                  sharded.tenants[i].finishCycle);
-        EXPECT_EQ(serial.tenants[i].run.digest(),
-                  sharded.tenants[i].run.digest());
-    }
-}
-
 TEST(TrafficCorun, JobsSweepDigestInvariance)
 {
     // The same two mixed-class points through the sweep pool at
@@ -450,7 +431,7 @@ TEST(TrafficCorun, JobsSweepDigestInvariance)
     std::vector<std::function<tenant::CorunReport()>> tasks;
     for (int i = 0; i < 2; ++i)
         tasks.push_back(
-            [] { return runCorun(mixedSpecs(), mixedOpts(1)); });
+            [] { return runCorun(mixedSpecs(), mixedOpts()); });
     const auto j1 = harness::runSweep(1u, tasks);
     const auto j4 = harness::runSweep(4u, tasks);
     ASSERT_EQ(j1.size(), 2u);
@@ -467,7 +448,7 @@ TEST(TrafficCorun, BackgroundDrainsAfterForeground)
     // and their attributed work must be non-empty and class-tagged.
     // Single-epoch quanta force real interleaving even when the quick
     // foreground finishes in a handful of epochs.
-    tenant::CorunOptions opts = mixedOpts(1);
+    tenant::CorunOptions opts = mixedOpts();
     opts.quantumEpochs = 1;
     const tenant::CorunReport rep = runCorun(mixedSpecs(), opts);
     ASSERT_EQ(rep.tenants.size(), 3u);

@@ -53,6 +53,33 @@ parseCount(const char *flag, const std::string &text, std::uint64_t max)
     return sim::parseCount("cli", flag, text, max);
 }
 
+/** --mode: the execution mode by its short name. */
+ExecMode
+parseMode(const std::string &v)
+{
+    if (v == "aff")
+        return ExecMode::affAlloc;
+    if (v == "near")
+        return ExecMode::nearL3;
+    if (v == "core")
+        return ExecMode::inCore;
+    SIM_FATAL("cli", "--mode=%s: expected aff, near or core", v.c_str());
+}
+
+/** --numbering: the bank numbering scheme by its short name. */
+sim::BankNumbering
+parseNumbering(const std::string &v)
+{
+    if (v == "rowmajor")
+        return sim::BankNumbering::rowMajor;
+    if (v == "snake")
+        return sim::BankNumbering::snake;
+    if (v == "block2")
+        return sim::BankNumbering::block2;
+    SIM_FATAL("cli", "--numbering=%s: expected rowmajor, snake or block2",
+              v.c_str());
+}
+
 /** --policy: the irregular bank-select policy by its short name. */
 alloc::BankPolicy
 parseBankPolicy(const std::string &v)
@@ -183,10 +210,6 @@ usage()
                  "      --watchdog-cycles N (livelock threshold; also "
                  "accepted by run/corun/serve;\n"
                  "       env AFFALLOC_SIMCHECK_WATCHDOG)\n"
-                 "  --sim-threads N (any command: shard-parallel epoch "
-                 "replay; results are\n"
-                 "       bit-identical at any N; env "
-                 "AFFALLOC_SIM_THREADS; default 1)\n"
                  "  chaos --replay BUNDLE.json (re-run a shrunk repro "
                  "bundle)\n"
                  "  --prof-out FILE (any command: host-side self-profile "
@@ -257,27 +280,21 @@ parse(int argc, char **argv)
             }
         }
         if (a == "--mode") {
-            const std::string v = next("--mode");
-            o.mode = v == "core" ? ExecMode::inCore
-                     : v == "near" ? ExecMode::nearL3
-                                   : ExecMode::affAlloc;
+            o.mode = parseMode(next("--mode"));
         } else if (a == "--policy") {
             o.policy = parseBankPolicy(next("--policy"));
         } else if (a == "--h") {
             o.h = sim::parseReal("cli", "--h", next("--h"));
         } else if (a == "--numbering") {
-            const std::string v = next("--numbering");
-            o.numbering = v == "snake"    ? sim::BankNumbering::snake
-                          : v == "block2" ? sim::BankNumbering::block2
-                                          : sim::BankNumbering::rowMajor;
+            o.numbering = parseNumbering(next("--numbering"));
         } else if (a == "--scale") {
             o.scale = std::uint32_t(parseCount("--scale", next("--scale"), 30));
         } else if (a == "--iters") {
             o.iters = int(parseCount("--iters", next("--iters"), 1000));
         } else if (a == "--intrlv") {
-            o.intrlv = std::strtoull(next("--intrlv").c_str(), nullptr, 0);
+            o.intrlv = parseCount("--intrlv", next("--intrlv"), UINT64_MAX);
         } else if (a == "--bytes") {
-            o.bytes = std::strtoull(next("--bytes").c_str(), nullptr, 0);
+            o.bytes = parseCount("--bytes", next("--bytes"), UINT64_MAX);
         } else if (a == "--start-bank") {
             o.startBank = BankId(
                 parseCount("--start-bank", next("--start-bank"), 4095));
@@ -285,13 +302,16 @@ parse(int argc, char **argv)
             o.csv = next("--csv");
         } else if (a == "--fault-seed") {
             o.faultSeed =
-                std::strtoull(next("--fault-seed").c_str(), nullptr, 0);
+                parseCount("--fault-seed", next("--fault-seed"), UINT64_MAX);
         } else if (a == "--offline-banks") {
             o.offlineBanks = std::uint32_t(
                 parseCount("--offline-banks", next("--offline-banks"), 4096));
         } else if (a == "--offload-reject-rate") {
-            o.offloadRejectRate =
-                std::atof(next("--offload-reject-rate").c_str());
+            o.offloadRejectRate = sim::parseReal(
+                "cli", "--offload-reject-rate", next("--offload-reject-rate"));
+            if (o.offloadRejectRate > 1.0)
+                SIM_FATAL("cli", "--offload-reject-rate=%g: expected a "
+                          "probability in [0, 1]", o.offloadRejectRate);
         } else if (a == "--simcheck") {
             o.simcheck = true;
         } else if (a == "--simcheck-digest") {
@@ -339,9 +359,10 @@ parse(int argc, char **argv)
             o.requests = std::uint32_t(
                 parseCount("--requests", next("--requests"), 1'000'000));
         } else if (a == "--rate") {
-            o.rate = std::atof(next("--rate").c_str());
+            o.rate = sim::parseReal("cli", "--rate", next("--rate"));
         } else if (a == "--burstiness") {
-            o.burstiness = std::atof(next("--burstiness").c_str());
+            o.burstiness =
+                sim::parseReal("cli", "--burstiness", next("--burstiness"));
         } else if (a == "--slots") {
             o.slots =
                 std::uint32_t(parseCount("--slots", next("--slots"), 4096));
@@ -350,10 +371,9 @@ parse(int argc, char **argv)
                 parseCount("--queue", next("--queue"), 1'000'000));
         } else if (a == "--max-cycles") {
             o.serveMaxCycles =
-                std::strtoull(next("--max-cycles").c_str(), nullptr, 0);
+                parseCount("--max-cycles", next("--max-cycles"), UINT64_MAX);
         } else if (a == "--seed") {
-            o.serveSeed =
-                std::strtoull(next("--seed").c_str(), nullptr, 0);
+            o.serveSeed = parseCount("--seed", next("--seed"), UINT64_MAX);
         } else if (a == "--fault-schedule") {
             o.faultSchedule = next("--fault-schedule");
         } else if (a == "--no-reaffinity") {
@@ -377,11 +397,6 @@ parse(int argc, char **argv)
                              "known\n", o.plant.c_str());
                 usage();
             }
-        } else if (a == "--sim-threads") {
-            // Validated and applied by harness::applySimThreads in
-            // main() (it needs the raw argv either way for the env
-            // fallback); consume the value here.
-            (void)next("--sim-threads");
         } else if (a == "--prof-out") {
             // Validated (path opened) by harness::applyProfFlags in
             // main(); consume the value here.
@@ -710,7 +725,8 @@ parseServeMix(const std::string &spec)
         serve::ServeClass cls;
         if (const std::size_t colon = item.find(':');
             colon != std::string::npos) {
-            cls.weight = std::atof(item.substr(colon + 1).c_str());
+            cls.weight =
+                sim::parseReal("cli", "--mix", item.substr(colon + 1));
             item.resize(colon);
         }
         cls.workload = item;
@@ -872,14 +888,11 @@ main(int argc, char **argv)
             std::strcmp(argv[i], "version") == 0)
             printVersion();
     }
-    // Install the process-wide sim-threads default before any
-    // MachineConfig is constructed, open --prof-out up front and read
-    // --jobs and the count flags; invalid values/paths are clean CLI
-    // errors, not backtraces (or worse, harvest-time failures after a
-    // long run).
+    // Open --prof-out up front and read --jobs and the other flags;
+    // invalid values/paths are clean CLI errors, not backtraces (or
+    // worse, harvest-time failures after a long run).
     Options o;
     try {
-        harness::applySimThreads(argc, argv);
         harness::applyProfFlags(argc, argv);
         const unsigned jobs = harness::parseJobs(argc, argv);
         o = parse(argc, argv);

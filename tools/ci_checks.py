@@ -42,11 +42,9 @@ REPO = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 CLI = "build/tools/affalloc_cli"
 FIG12 = "build/bench/fig12_overall --quick"
 FAULTS = "--offline-banks=4 --offload-reject-rate=0.2"
-# Rows asking for 4 replay threads run whatever the host's core count.
-OVERSUB = {"AFFALLOC_SIM_OVERSUBSCRIBE": "1"}
 # Test binaries with worker pools, fiber switches or the profiler's
 # relaxed atomics: the ones the TSan leg runs.
-THREADED = ("test_parallel_epoch", "test_tenant", "test_serve", "test_prof")
+THREADED = ("test_tenant", "test_serve", "test_prof")
 
 
 @dataclass
@@ -95,14 +93,6 @@ def bench_jobs(bench, j4_extra, variants=(), **kw):
                          **dict(variants)}, **kw)
 
 
-def sim_threads(bench):
-    # Full size so the per-epoch replay work is non-trivial; --jobs 1
-    # so only --sim-threads changes between the variants.
-    return Row(f"{bench}-sim-threads", "same", key="stdout", env=OVERSUB,
-               cmds=[f"build/bench/{bench} --simcheck-digest --jobs 1"],
-               variants={"st1": "--sim-threads 1", "st4": "--sim-threads 4"})
-
-
 TABLE = [
     Row("whole-binaries", "ok", cmds=gtest_binaries(skip=THREADED)),
     Row("threaded-binaries", "ok", cmds=gtest_binaries(only=THREADED)),
@@ -117,17 +107,17 @@ TABLE = [
         f"{CLI} run bfs --mode near --scale 10 {FAULTS}"]),
     Row("chaos-smoke", "ok", cmds=[f"{CLI} chaos --campaigns 3 --seed "
                                    "20260808 --quick --jobs 2 --bundle-dir {dir}"]),
-    Row("sim-threads-smoke", "ok", env=OVERSUB, cmds=[
-        f"build/bench/{b} --quick --jobs 4 --sim-threads 4"
+    # The sweep pool's dispatch, for the TSan leg.
+    Row("sweep-smoke", "ok", cmds=[
+        f"build/bench/{b} --quick --jobs 4"
         for b in ("fig15_affine_scale", "fig19_degree")]),
     Row("fault-audited", "ok", cmds=[
         f"{CLI} run vecadd --mode aff --simcheck {FAULTS}",
         f"{CLI} run link_list --mode near --simcheck {FAULTS}",
         f"{CLI} run bfs --mode aff --scale 10 --simcheck {FAULTS}"]),
-    # fig12 digests: reruns, sharded replay, and faults that matter.
-    Row("fig12-digest", "same", env=OVERSUB,
-        cmds=[f"{FIG12} --simcheck --simcheck-digest"],
-        variants={"a": "", "b": "", "st4": "--sim-threads 4"}),
+    # fig12 digests: reruns and faults that matter.
+    Row("fig12-digest", "same", variants={"a": "", "b": ""},
+        cmds=[f"{FIG12} --simcheck --simcheck-digest"]),
     Row("fig12-faulty-digest", "same", variants={"a": "", "b": ""},
         cmds=[f"{FIG12} --simcheck --simcheck-digest --faulty"]),
     Row("fig12-faults-matter", "differ",
@@ -152,20 +142,18 @@ TABLE = [
         files=["../obs-digest/on/trace.*.json", "../cli-trace/vecadd.json",
                "../prof-neutral/prof/fig12.prof.json",
                "../trace-rerun/a/bfs.json"]),
-    # Every bench at any job count; sharded replay at full size.
+    # Every bench at any job count.
     Row("sweep-jobs", "same", variants={"j1": "--jobs 1", "j4": "--jobs 4"},
         cmds=["./run_benches.sh --quick --simcheck-digest"]),
-    sim_threads("fig15_affine_scale"),
-    sim_threads("fig19_degree"),
     # Each profile's phases partition its wall (perf_diff's own check).
     Row("self-profiles", "json", files=["*.prof.json"],
         check=perf_diff.check_wall_partition, cmds=[
         f"build/bench/{b} --quick --jobs 1 --prof-out={{dir}}/{b}.prof.json"
         for b in ("fig15_affine_scale", "fig19_degree", "serve_availability")]),
-    Row("worker-telemetry", "json", env=OVERSUB, check=four_worker_pools,
-        cmds=["build/bench/fig15_affine_scale --quick --jobs 1 "
-              "--sim-threads 4 --prof-out={dir}/st4.prof.json"],
-        files=["st4.prof.json"]),
+    Row("worker-telemetry", "json", check=four_worker_pools,
+        cmds=["build/bench/fig15_affine_scale --quick --jobs 4 "
+              "--prof-out={dir}/j4.prof.json"],
+        files=["j4.prof.json"]),
     # Co-run, serving and traffic classes.
     bench_jobs("corun_contention", "--qos-csv {dir}/qos "
                "--csv {dir}/corun_comparison.csv",
@@ -185,8 +173,7 @@ TABLE = [
     Row("serve-bad-fault", "rejects", stderr="bank 999", cmds=[
         f"{CLI} serve --quick --requests 4 --fault-schedule bank:999@100"]),
     bench_jobs("host_interference", "--qos-csv {dir}/qos "
-               "--csv {dir}/interference_comparison.csv", env=OVERSUB,
-               variants={"st4": "--jobs 1 --sim-threads 4"},
+               "--csv {dir}/interference_comparison.csv",
                files=["j4/interference_comparison.csv"]),
     Row("traffic-cli", "ok", files=["cli_mixed.csv"], cmds=[
         f"{CLI} corun --tenants=hotspot,bfs --host-agents 2 --io-streams 2 "
@@ -207,7 +194,6 @@ TABLE = [
     # 2), not through std::terminate's "what():  fatal:".
     Row("bench-bad-flags", "rejects", stderr=r"(?m)^fatal: \[harness\]",
         cmds=["build/bench/fig13_policy --quick --jobs -2",
-              "build/bench/fig13_policy --quick --sim-threads 0",
               "env AFFALLOC_JOBS=abc build/bench/fig13_policy --quick"]),
     # So does a bad value of any other shared bench flag.
     Row("bench-bad-options", "rejects",
@@ -219,6 +205,21 @@ TABLE = [
         cmds=[f"{CLI} run vecadd --policy foo",
               f"{CLI} run vecadd --h nan",
               f"{CLI} run vecadd --h -1"]),
+    # Names, reals and 64-bit counts are strict too: no silent default,
+    # no NaN, no garbage read as 0.
+    Row("cli-bad-values", "rejects", stderr=r"(?m)^fatal: \[cli\]",
+        cmds=[f"{CLI} run vecadd --mode foo",
+              f"{CLI} run vecadd --numbering bar",
+              f"{CLI} run vecadd --offload-reject-rate nan",
+              f"{CLI} run vecadd --offload-reject-rate 2",
+              f"{CLI} run vecadd --fault-seed 0x10",
+              f"{CLI} layout --intrlv 64k",
+              f"{CLI} layout --bytes -1",
+              f"{CLI} serve --quick --requests 4 --rate abc",
+              f"{CLI} serve --quick --requests 4 --burstiness inf",
+              f"{CLI} serve --quick --requests 4 --mix vecadd:x",
+              f"{CLI} serve --quick --requests 4 --max-cycles 1e9",
+              f"{CLI} serve --quick --requests 4 --seed -7"]),
     # Chaos: only the header's "jobs N" may differ between job counts;
     # the planted defect is found, shrunk, bundled and replayed.
     Row("chaos-jobs", "same", key="body",

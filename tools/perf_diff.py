@@ -118,7 +118,7 @@ class Report:
 
 # A wall-clock comparison is only meaningful between runs of one
 # configuration.
-RUN_CONFIG = ("quick", "jobs", "sim_threads")
+RUN_CONFIG = ("quick", "jobs")
 
 
 def diff_overall(base, cur, args, rep):
@@ -242,7 +242,7 @@ def run_diff(argv):
 # --------------------------------------------------------------- selftest
 
 FIXTURE_BASE = {
-    "quick": True, "jobs": 1, "sim_threads": 1,
+    "quick": True, "jobs": 1,
     "git_revision": "abc1234", "build_type": "Release",
     "host_threads": 4,
     "benches": {"fig15_affine_scale": 10.0, "fig19_degree": 8.0,
@@ -354,7 +354,7 @@ def selftest():
              EXIT_SCHEMA)
 
     # Runs of different configurations cannot be compared.
-    for k, other in (("quick", False), ("jobs", 4), ("sim_threads", 4)):
+    for k, other in (("quick", False), ("jobs", 4)):
         run_case(f"{k}-mismatch", FIXTURE_BASE, _with_benches(**{k: other}),
                  EXIT_SCHEMA)
 
