@@ -642,8 +642,7 @@ void
 AffinityAllocator::maybeReconcileFreeLists()
 {
     const sim::FaultPlan &plan = machine_.faultPlan();
-    if (opts_.legacySpareKeying ||
-        plan.redirectVersion() == faultVersion_)
+    if (plan.redirectVersion() == faultVersion_)
         return;
     faultVersion_ = plan.redirectVersion();
     // Deterministic sweep in (pool, bank, slot) order: every slot
@@ -998,16 +997,10 @@ AffinityAllocator::freeAff(void *ptr)
         live = 0;
         maybeReconcileFreeLists();
         // Return the slot to the free list of the bank that actually
-        // serves it now. The legacy keying approximated that with the
-        // alloc-time bank's spare, which goes stale the moment a
-        // re-affinity re-target (or a second kill) moves the raw home
-        // bank's service elsewhere; the hardened path asks the mapper
-        // directly.
-        const sim::FaultPlan &plan = machine_.faultPlan();
-        const BankId home =
-            opts_.legacySpareKeying
-                ? (plan.bankLive(bank) ? bank : plan.redirect(bank))
-                : machine_.bankOfSim(s.sim);
+        // serves it now: the alloc-time bank's spare goes stale the
+        // moment a re-affinity re-target (or a second kill) moves the
+        // raw home bank's service elsewhere.
+        const BankId home = machine_.bankOfSim(s.sim);
         if (canaries_) {
             const std::uint64_t canary = canaryFor(s.sim);
             std::memcpy(ptr, &canary, sizeof(canary));
@@ -1174,7 +1167,6 @@ AffinityAllocator::auditFreeLists(simcheck::CheckContext &ctx)
     // between allocator calls cannot leave a transiently stale keying
     // for the strict check below to trip over.
     maybeReconcileFreeLists();
-    const sim::FaultPlan &plan = machine_.faultPlan();
     std::unordered_set<const void *> free_hosts;
 
     for (int k = 0; k < mem::numInterleavePools; ++k) {
@@ -1228,17 +1220,7 @@ AffinityAllocator::auditFreeLists(simcheck::CheckContext &ctx)
                     continue;
                 }
                 const BankId served = machine_.bankOfSim(slot.sim);
-                if (opts_.legacySpareKeying) {
-                    // Legacy keying tolerates slots keyed at a dead
-                    // bank's current spare; a redirect change after the
-                    // free leaves them stranded and trips this.
-                    if (served != b && served != plan.redirect(b)) {
-                        ctx.failf("pool %d: slot sim %llx on bank %u's "
-                                  "free list but served by bank %u",
-                                  k, (unsigned long long)slot.sim, b,
-                                  served);
-                    }
-                } else if (served != b) {
+                if (served != b) {
                     ctx.failf("pool %d: stale spare keying — slot sim "
                               "%llx keyed at bank %u but served by bank "
                               "%u after redirect change",

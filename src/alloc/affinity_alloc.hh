@@ -131,17 +131,6 @@ struct AllocatorOptions
      * allocator). Null: Eq. 4 sees only this allocator's own loads.
      */
     BankLoadBoard *sharedLoads = nullptr;
-    /**
-     * Keep the historical free-list keying behaviour: slots stay
-     * keyed by the bank that served them when they were carved or
-     * freed, even after later bank kills or re-affinity re-targets
-     * move their service elsewhere. This reproduces the
-     * spare-exhaustion defect the chaos fuzzer surfaced (stranded
-     * capacity on dead banks, stale-keying audit failures) and exists
-     * only so regressions and repro bundles can replay it; production
-     * paths re-key lazily against FaultPlan::redirectVersion().
-     */
-    bool legacySpareKeying = false;
 };
 
 /** Metadata the runtime records per affine/plain allocation. */
@@ -452,8 +441,7 @@ class AffinityAllocator
      * (bank kill, re-affinity re-target). Without this, slots carved
      * or freed before a fault stay keyed at their old spare: capacity
      * strands on dead banks and the keying audit reports stale
-     * entries. No-op (and the defect preserved) under
-     * AllocatorOptions::legacySpareKeying.
+     * entries.
      */
     void maybeReconcileFreeLists();
     /** Large page-multiple interleaving via page-at-bank remapping. */

@@ -28,7 +28,7 @@ namespace affalloc::chaos
 namespace
 {
 
-constexpr int bundleVersion = 1;
+constexpr int bundleVersion = 2;
 
 std::string
 jsonEscape(const std::string &s)
@@ -212,8 +212,6 @@ formatBundle(const Campaign &c, const Verdict &v)
     os << "  \"max_cycles\": " << o.maxCycles << ",\n";
     os << "  \"serve_seed\": " << o.seed << ",\n";
     os << "  \"alloc_seed\": " << o.allocOpts.seed << ",\n";
-    os << "  \"legacy_spare_keying\": "
-       << (o.allocOpts.legacySpareKeying ? 1 : 0) << ",\n";
     os << "  \"quick\": " << (o.quick ? 1 : 0) << ",\n";
     os << "  \"reaffinity\": " << (o.reaffinity ? 1 : 0) << ",\n";
     os << "  \"audit\": " << (o.machine.simcheck.audit ? 1 : 0)
@@ -261,8 +259,6 @@ parseBundle(const std::string &json, Verdict *expected)
     o.maxCycles = getU64(json, "max_cycles");
     o.seed = getU64(json, "serve_seed");
     o.allocOpts.seed = getU64(json, "alloc_seed");
-    o.allocOpts.legacySpareKeying =
-        getU64(json, "legacy_spare_keying") != 0;
     o.quick = getU64(json, "quick") != 0;
     o.reaffinity = getU64(json, "reaffinity") != 0;
     o.machine.simcheck.audit = getU64(json, "audit") != 0;

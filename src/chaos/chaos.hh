@@ -72,15 +72,6 @@ struct FuzzOptions
     unsigned jobs = 1;
     /** CI-scale workload inputs (strongly recommended). */
     bool quick = true;
-    /**
-     * Seed campaign 0 with the directed known-bad spare-of-spare
-     * campaign (plantedSpareKeyingCampaign) and run every generated
-     * campaign with AllocatorOptions::legacySpareKeying — the
-     * historical free-list keying defect — so the fuzzer finds, and
-     * the shrinker minimizes, a known-bad configuration. Used by
-     * regression tests and for exercising the repro pipeline.
-     */
-    bool plantSpareKeying = false;
     /** Livelock watchdog threshold; 0 keeps the env/config default. */
     std::uint32_t watchdogStallEpochs = 0;
     /** Directory for repro bundles of failures; empty = don't write. */
@@ -136,17 +127,15 @@ Verdict runOracle(const serve::ServeOptions &opts);
 Campaign shrinkCampaign(const Campaign &failing, const Verdict &verdict,
                         std::uint32_t *oracle_runs = nullptr);
 
-/** Run the whole matrix: generate, judge, shrink failures, bundle. */
-FuzzReport runFuzz(const FuzzOptions &f);
+/** Campaigns 0 .. f.campaigns-1 of the matrix (generateCampaign). */
+std::vector<Campaign> generateMatrix(const FuzzOptions &f);
 
 /**
- * The known-bad spare-of-spare campaign: legacy free-list keying plus
- * a clustered kill schedule (a bank and its next-in-order spare) with
- * decoy link/NACK events, under a pointer-chasing mix that recycles
- * irregular slots. Fails the free-list audit pre-hardening; the
- * shrinker reduces it to the two kills.
+ * Judge every campaign of @p camps (usually generateMatrix(f)), shrink
+ * the failures and bundle them into f.bundleDir. An empty list is a
+ * FatalError.
  */
-Campaign plantedSpareKeyingCampaign(bool quick = true);
+FuzzReport runFuzz(const FuzzOptions &f, const std::vector<Campaign> &camps);
 
 /**
  * Normalize a failure message into a stable fingerprint: first line

@@ -155,7 +155,6 @@ generateCampaign(const FuzzOptions &f, std::uint32_t index)
     o.seed = Rng::substreamSeed(f.seed, serveSeedStreamBase + index);
     o.allocOpts.seed =
         Rng::substreamSeed(f.seed, allocSeedStreamBase + index);
-    o.allocOpts.legacySpareKeying = f.plantSpareKeying;
     o.machine.simcheck.audit = true;
     o.machine.simcheck.auditPeriodEpochs = 16;
     if (f.watchdogStallEpochs)
@@ -259,72 +258,26 @@ generateCampaign(const FuzzOptions &f, std::uint32_t index)
     return c;
 }
 
-Campaign
-plantedSpareKeyingCampaign(bool quick)
+std::vector<Campaign>
+generateMatrix(const FuzzOptions &f)
 {
-    Campaign c;
-    c.index = 0;
-    serve::ServeOptions &o = c.opts;
-    o.quick = quick;
-    o.seed = 1337;
-    o.allocOpts.seed = 1338;
-    o.allocOpts.legacySpareKeying = true;
-    o.machine.simcheck.audit = true;
-    o.machine.simcheck.auditPeriodEpochs = 8;
-    serve::ServeClass churn;
-    churn.workload = "churn_list";
-    churn.weight = 1.0;
-    o.classes = {churn};
-    o.numRequests = 20;
-    // Arrivals far denser than the service rate keep a backlog
-    // queued, so the machine is continuously busy — faults land
-    // mid-request instead of being idle-skipped to a request
-    // boundary where no tenant holds dead-bank slots.
-    o.arrivalsPerMcycle = 50.0;
-    o.slots = 2;
-    o.queueCapacity = 24;
-    // Single-epoch quanta: the fault hook runs between every epoch,
-    // so the kill pair below lands inside one request's churn rounds
-    // (a whole quick request fits in the default 8-epoch quantum,
-    // which would quantize every fault to a request boundary).
-    o.quantumEpochs = 1;
-    o.maxCycles = 2'000'000'000ULL;
-    o.reaffinity = true;
-    // A tight kill pair mid-churn: the first kill makes churn_list
-    // free dead-bank slots keyed at the victim's redirect, the second
-    // kills that redirect target (spare-of-spare) and re-derives the
-    // survivors' redirects, stranding the keyed slots — buried in
-    // decoy link degradations and a NACK storm the shrinker has to
-    // peel away.
-    o.faultSchedule = sim::parseFaultSchedule(
-        "link:20@150000x4,nack:400@200000,bank:27@250000,"
-        "bank:0@270000,nack:0@290000,link:74@300000x8,"
-        "link:75@320000x2");
-    return c;
-}
-
-FuzzReport
-runFuzz(const FuzzOptions &f)
-{
-    if (f.campaigns == 0)
-        SIM_FATAL("chaos", "a fuzz run needs >= 1 campaign");
-    const unsigned jobs = f.jobs ? f.jobs : 1;
-
     std::vector<Campaign> camps;
     camps.reserve(f.campaigns);
     for (std::uint32_t i = 0; i < f.campaigns; ++i)
         camps.push_back(generateCampaign(f, i));
-    if (f.plantSpareKeying) {
-        // Seed the matrix with the directed known-bad campaign so a
-        // planted run always exercises the full find -> shrink ->
-        // bundle pipeline, not just legacy keying on random inputs.
-        camps[0] = plantedSpareKeyingCampaign(f.quick);
-        camps[0].index = 0;
-    }
+    return camps;
+}
+
+FuzzReport
+runFuzz(const FuzzOptions &f, const std::vector<Campaign> &camps)
+{
+    if (camps.empty())
+        SIM_FATAL("chaos", "a fuzz run needs >= 1 campaign");
+    const unsigned jobs = f.jobs ? f.jobs : 1;
 
     // Phase 1: judge every campaign. runSweep delivers verdicts in
     // campaign order at any job count.
-    prof::progressSetGoal(f.campaigns);
+    prof::progressSetGoal(camps.size());
     std::vector<std::function<Verdict()>> points;
     points.reserve(camps.size());
     for (const Campaign &c : camps) {
@@ -338,7 +291,7 @@ runFuzz(const FuzzOptions &f)
         harness::runSweep<Verdict>(jobs, points);
 
     FuzzReport rep;
-    rep.campaigns = f.campaigns;
+    rep.campaigns = static_cast<std::uint32_t>(camps.size());
     rep.results.resize(camps.size());
     std::vector<std::size_t> failing;
     for (std::size_t i = 0; i < camps.size(); ++i) {

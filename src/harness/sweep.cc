@@ -1,5 +1,6 @@
 #include "harness/sweep.hh"
 
+#include <algorithm>
 #include <atomic>
 #include <cerrno>
 #include <cstdio>
@@ -7,13 +8,13 @@
 #include <cstring>
 #include <exception>
 #include <string>
+#include <system_error>
 #include <thread>
 
 #include "harness/report.hh"
 #include "sim/log.hh"
 #include "sim/parse.hh"
 #include "sim/prof.hh"
-#include "sim/worker_pool.hh"
 
 namespace affalloc::harness
 {
@@ -186,24 +187,20 @@ runSweepTasks(unsigned jobs, std::vector<std::function<void()>> tasks)
         return;
     PROF_SCOPE("harness/sweep");
     prof::counterMax("sweep/max_batch_tasks", n);
-    // Reuse the process-wide worker pool so back-to-back sweeps stop
-    // paying thread spawn/join per call. dispatch() is not reentrant,
-    // so while the pool is busy (a sweep nested inside another sweep's
-    // task) the tasks run inline, like the jobs <= 1 loop.
-    static std::atomic<bool> poolBusy{false};
+    // One parallel sweep at a time: a sweep nested inside another
+    // sweep's task (or started beside it) runs its tasks inline, like
+    // the jobs <= 1 loop, so the thread count never exceeds --jobs.
+    static std::atomic<bool> busy{false};
     bool expected = false;
     if (jobs <= 1 || n == 1 ||
-        !poolBusy.compare_exchange_strong(expected, true)) {
+        !busy.compare_exchange_strong(expected, true)) {
         for (auto &task : tasks)
             task();
         return;
     }
 
-    const unsigned workers =
-        static_cast<unsigned>(std::min<std::size_t>(jobs, n));
     std::atomic<std::size_t> next{0};
     std::vector<std::exception_ptr> errors(n);
-
     auto worker = [&] {
         for (;;) {
             const std::size_t i = next.fetch_add(1);
@@ -217,14 +214,21 @@ runSweepTasks(unsigned jobs, std::vector<std::function<void()>> tasks)
         }
     };
 
-    sim::WorkerPool &pool = sim::sharedWorkerPool(workers);
-    pool.dispatch([&](unsigned role) {
-        // The shared pool only ever grows; excess roles from a wider
-        // earlier sweep sit this one out.
-        if (role < workers)
-            worker();
-    });
-    poolBusy.store(false);
+    // min(jobs, n) workers: the calling thread plus plain threads
+    // started for this sweep and joined before it returns.
+    const std::size_t extra = std::min<std::size_t>(jobs, n) - 1;
+    std::vector<std::thread> threads;
+    threads.reserve(extra);
+    try {
+        for (std::size_t t = 0; t < extra; ++t)
+            threads.emplace_back(worker);
+    } catch (const std::system_error &) {
+        // Out of threads: those started and this one drain the tasks.
+    }
+    worker();
+    for (std::thread &t : threads)
+        t.join();
+    busy.store(false);
 
     // Deterministic error reporting: the lowest-indexed failure wins,
     // exactly as it would have surfaced from the serial loop.

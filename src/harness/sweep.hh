@@ -98,8 +98,9 @@ BenchFlags parseBenchFlags(int argc, char **argv);
 /**
  * Execute every task, spreading them over @p jobs worker threads
  * (inline on the calling thread when jobs <= 1, when there is only one
- * task, or when a sweep nested in another sweep's task finds the
- * shared pool busy). Tasks are claimed in index order. If any task throws, the
+ * task, or when another sweep is running, as a sweep nested in a
+ * sweep's task finds). The threads are started per call and joined
+ * before it returns. Tasks are claimed in index order. If any task throws, the
  * exception of the lowest-indexed failing task is rethrown on the
  * caller after all workers have drained.
  */

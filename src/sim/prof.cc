@@ -215,11 +215,6 @@ constexpr std::uint64_t rssSampleIntervalNs = 100'000'000; // 100 ms
 std::mutex arenasMu_;
 std::map<std::uint32_t, std::uint64_t> arenas_;
 
-// ---------------------------------------------------------------- pools
-std::mutex poolsMu_;
-std::map<const void *, PoolTelemetry (*)(const void *)> livePools_;
-std::vector<PoolTelemetry> retiredPools_;
-
 // ------------------------------------------------------------- progress
 std::atomic<bool> progressOn_{false};
 std::uint64_t progressIntervalNs_ = 5'000'000'000;
@@ -262,6 +257,21 @@ mergeInto(std::vector<PhaseNode> &out, const detail::Node &node,
         mergeInto(slot->children, *c, ts);
 }
 
+/** Scale a finalized subtree's times by @p num / @p den (<= 1);
+ *  rounding down keeps every child inside its parent. */
+void
+scaleTree(PhaseNode &n, std::uint64_t num, std::uint64_t den)
+{
+    n.inclusiveNs = static_cast<std::uint64_t>(
+        static_cast<unsigned __int128>(n.inclusiveNs) * num / den);
+    std::uint64_t kids = 0;
+    for (PhaseNode &c : n.children) {
+        scaleTree(c, num, den);
+        kids += c.inclusiveNs;
+    }
+    n.exclusiveNs = n.inclusiveNs - kids;
+}
+
 void
 finalizeTree(std::vector<PhaseNode> &nodes)
 {
@@ -280,10 +290,25 @@ finalizeTree(std::vector<PhaseNode> &nodes)
                                 n.timedCount;
         }
         std::uint64_t kids = 0;
-        for (const PhaseNode &c : n.children)
+        std::uint64_t estimated = 0;
+        for (const PhaseNode &c : n.children) {
             kids += c.inclusiveNs;
-        // Estimates can land a hair under an exactly-timed child sum;
-        // clamp so the child-contained-in-parent invariant is strict.
+            estimated += c.sampled ? c.inclusiveNs : 0;
+        }
+        // A sampled child's estimate can overshoot an exactly timed
+        // parent: the parent's time is the measurement, so shrink the
+        // estimates (whole subtrees) into the room the exactly timed
+        // children leave. Only an estimate gives way to its children.
+        const std::uint64_t exact = kids - estimated;
+        if (kids > n.inclusiveNs && !n.sampled && exact <= n.inclusiveNs) {
+            for (PhaseNode &c : n.children) {
+                if (c.sampled)
+                    scaleTree(c, n.inclusiveNs - exact, estimated);
+            }
+            kids = 0;
+            for (const PhaseNode &c : n.children)
+                kids += c.inclusiveNs;
+        }
         n.inclusiveNs = std::max(n.inclusiveNs, kids);
         n.exclusiveNs = n.inclusiveNs - kids;
     }
@@ -373,22 +398,6 @@ noteArenaFootprint(std::uint32_t arena, std::uint64_t bytes)
     std::lock_guard<std::mutex> lk(arenasMu_);
     std::uint64_t &slot = arenas_[arena];
     slot = std::max(slot, bytes);
-}
-
-void
-registerPool(const void *key, PoolTelemetry (*fn)(const void *))
-{
-    std::lock_guard<std::mutex> lk(poolsMu_);
-    livePools_[key] = fn;
-}
-
-void
-unregisterPool(const void *key, const PoolTelemetry &final_snapshot)
-{
-    std::lock_guard<std::mutex> lk(poolsMu_);
-    livePools_.erase(key);
-    if (final_snapshot.dispatches > 0)
-        retiredPools_.push_back(final_snapshot);
 }
 
 void
@@ -488,15 +497,6 @@ harvest()
         std::lock_guard<std::mutex> lk(countersMu_);
         snap.counters.assign(counters_.begin(), counters_.end());
     }
-    {
-        std::lock_guard<std::mutex> lk(poolsMu_);
-        snap.pools = retiredPools_;
-        for (const auto &[key, fn] : livePools_) {
-            PoolTelemetry t = fn(key);
-            if (t.dispatches > 0)
-                snap.pools.push_back(std::move(t));
-        }
-    }
     snap.peakRssKb = readProcStatusKb("VmHWM");
     snap.lastRssKb = rssLastKb_.load(std::memory_order_relaxed);
     snap.rssSamples = rssSamples_.load(std::memory_order_relaxed);
@@ -535,10 +535,6 @@ resetForTest()
         counters_.clear();
     }
     {
-        std::lock_guard<std::mutex> lk(poolsMu_);
-        retiredPools_.clear();
-    }
-    {
         std::lock_guard<std::mutex> lk(arenasMu_);
         arenas_.clear();
     }
@@ -560,8 +556,6 @@ void counterAdd(const char *, std::uint64_t) {}
 void counterMax(const char *, std::uint64_t) {}
 bool rssEpochTick() { return false; }
 void noteArenaFootprint(std::uint32_t, std::uint64_t) {}
-void registerPool(const void *, PoolTelemetry (*)(const void *)) {}
-void unregisterPool(const void *, const PoolTelemetry &) {}
 void progressEnable(double) {}
 bool progressEnabled() { return false; }
 void progressSetGoal(std::uint64_t) {}
@@ -655,34 +649,6 @@ writeJson(std::FILE *out, const Snapshot &snap)
                      snap.counters[i].second);
     }
     std::fprintf(out, "%s},\n", snap.counters.empty() ? "" : "\n  ");
-
-    std::fprintf(out, "  \"worker_pools\": [");
-    for (std::size_t i = 0; i < snap.pools.size(); ++i) {
-        const PoolTelemetry &p = snap.pools[i];
-        std::uint64_t maxBusy = 0;
-        for (const std::uint64_t b : p.busyNs)
-            maxBusy = std::max(maxBusy, b);
-        std::fprintf(out,
-                     "%s\n    {\"threads\": %u, \"dispatches\": %" PRIu64
-                     ", \"sum_max_task_ns\": %" PRIu64
-                     ", \"sum_task_ns\": %" PRIu64
-                     ", \"imbalance\": %.4f, \"workers\": [",
-                     i ? "," : "", p.threads, p.dispatches,
-                     p.sumMaxTaskNs, p.sumTaskNs,
-                     p.sumTaskNs
-                         ? double(p.sumMaxTaskNs) * double(p.threads) /
-                               double(p.sumTaskNs)
-                         : 0.0);
-        for (std::size_t w = 0; w < p.busyNs.size(); ++w) {
-            std::fprintf(
-                out,
-                "%s{\"busy_ns\": %" PRIu64 ", \"utilization\": %.4f}",
-                w ? ", " : "", p.busyNs[w],
-                maxBusy ? double(p.busyNs[w]) / double(maxBusy) : 0.0);
-        }
-        std::fprintf(out, "]}");
-    }
-    std::fprintf(out, "%s],\n", snap.pools.empty() ? "" : "\n  ");
 
     std::fprintf(out,
                  "  \"rss\": {\"peak_kb\": %" PRIu64

@@ -3,9 +3,9 @@
  * Host-side run telemetry: a low-overhead hierarchical phase profiler
  * for the simulator *itself* (where does wall-clock go inside a run —
  * epochs vs. audits, allocator metadata vs. memory-system charging),
- * plus worker-pool utilization telemetry, run-level memory
- * telemetry (peak RSS, per-tenant arena footprints), named counters,
- * and a stderr progress heartbeat for long serving/chaos runs.
+ * plus run-level memory telemetry (peak RSS, per-tenant arena
+ * footprints), named counters, and a stderr progress heartbeat for
+ * long serving/chaos runs.
  *
  * Everything here observes the *host*, never the simulated machine:
  * the profiler reads std::chrono::steady_clock and /proc/self/status
@@ -258,32 +258,20 @@ void noteArenaFootprint(std::uint32_t arena, std::uint64_t bytes);
 
 // ------------------------------------------------ worker-pool telemetry
 
-/** One pool's accumulated utilization telemetry. */
+/**
+ * One worker pool's utilization telemetry. No pool exists any more
+ * (the sweep runner starts plain threads per call), so
+ * Snapshot::pools is always empty; the type stays only because
+ * the perfbench/ harness still reads it.
+ */
 struct PoolTelemetry
 {
-    /** Roles, including the dispatching caller. */
     unsigned threads = 0;
-    /** dispatch() barriers executed (sweep batches). */
     std::uint64_t dispatches = 0;
-    /** Per-role total busy nanoseconds inside dispatched bodies. */
     std::vector<std::uint64_t> busyNs;
-    /** Sum over dispatches of the slowest role's task-ns (the wave's
-     *  critical path). */
     std::uint64_t sumMaxTaskNs = 0;
-    /** Sum over dispatches of all roles' task-ns. sumMaxTaskNs *
-     *  threads / sumTaskNs is the imbalance ratio (1.0 =
-     *  perfectly balanced dispatches). */
     std::uint64_t sumTaskNs = 0;
 };
-
-/**
- * Register / unregister a live pool's telemetry snapshot provider.
- * WorkerPool registers itself at construction and, at destruction,
- * unregisters and folds its final snapshot into the retired-pool
- * list so telemetry survives the pool. @p key identifies the pool.
- */
-void registerPool(const void *key, PoolTelemetry (*fn)(const void *));
-void unregisterPool(const void *key, const PoolTelemetry &final_snapshot);
 
 // --------------------------------------------------------- progress
 
@@ -321,7 +309,9 @@ struct PhaseNode
     std::string name;
     /** Total ns inside this phase, children included. For sampled
      *  phases this is the scaled estimate (timed ns * count /
-     *  timedCount), clamped to at least the children's sum. */
+     *  timedCount), raised to at least the children's sum, and scaled
+     *  down (subtree and all) where the estimates overshoot an
+     *  exactly timed parent. */
     std::uint64_t inclusiveNs = 0;
     /** inclusiveNs minus the children's inclusive ns (clamped >= 0). */
     std::uint64_t exclusiveNs = 0;
@@ -344,7 +334,7 @@ struct Snapshot
     std::vector<PhaseNode> phases;
     /** Named counters, sorted by name. */
     std::vector<std::pair<std::string, std::uint64_t>> counters;
-    /** Live + retired worker-pool telemetry with any activity. */
+    /** Always empty (see PoolTelemetry). */
     std::vector<PoolTelemetry> pools;
     /** Peak RSS (VmHWM) in kB at harvest; 0 when unavailable. */
     std::uint64_t peakRssKb = 0;
@@ -372,7 +362,7 @@ Snapshot harvest();
 bool writeJson(std::FILE *out, const Snapshot &snap);
 
 /**
- * Reset all accumulated phase/counter/pool/arena state (tests). Does
+ * Reset all accumulated phase/counter/arena state (tests). Does
  * not touch the enabled flags or any open output file.
  */
 void resetForTest();

@@ -2,15 +2,16 @@
  * @file
  * Chaos-engine tests: fuzzer determinism (same seed => byte-identical
  * campaigns, verdicts and digests at any job count), signature
- * normalization, ddmin shrinking, the planted spare-of-spare keying
- * regression (fails legacy, passes hardened, shrinks to the two
- * kills), and repro-bundle round-trip + replay.
+ * normalization, ddmin shrinking, the spare-of-spare keying
+ * regression, repro-bundle round-trip + replay, and the whole find ->
+ * shrink -> bundle -> replay loop on a campaign that really fails.
  */
 
 #include <gtest/gtest.h>
 
 #include <cstdio>
 #include <fstream>
+#include <sstream>
 
 #include "chaos/chaos.hh"
 #include "sim/fault.hh"
@@ -49,6 +50,56 @@ invalidTargetCampaign()
         "link:20@100000x4,bank:3@200000,nack:250@300000,"
         "bank:9999@400000,nack:0@500000,link:21@600000x2");
     return c;
+}
+
+/**
+ * The campaign that found the spare-of-spare keying defect: slots
+ * freed while their home bank was dead were keyed at that bank's
+ * spare of the moment, and a later kill of the spare (with the
+ * re-affinity re-target that follows) stranded them on a list their
+ * bank no longer served, which the free-list audit reported.
+ */
+chaos::Campaign
+spareOfSpareCampaign()
+{
+    chaos::Campaign c;
+    serve::ServeOptions &o = c.opts;
+    o.quick = true;
+    o.seed = 1337;
+    o.allocOpts.seed = 1338;
+    o.machine.simcheck.audit = true;
+    o.machine.simcheck.auditPeriodEpochs = 8;
+    serve::ServeClass churn;
+    churn.workload = "churn_list";
+    o.classes = {churn};
+    o.numRequests = 20;
+    // Arrivals far denser than the service rate keep a backlog
+    // queued, so faults land mid-request instead of being idle-skipped
+    // to a request boundary where no tenant holds dead-bank slots.
+    o.arrivalsPerMcycle = 50.0;
+    o.slots = 2;
+    o.queueCapacity = 24;
+    // Single-epoch quanta: the fault hook runs between every epoch, so
+    // the kill pair lands inside one request's churn rounds.
+    o.quantumEpochs = 1;
+    o.maxCycles = 2'000'000'000ULL;
+    o.reaffinity = true;
+    // A tight kill pair mid-churn (bank 27, then its spare bank 0)
+    // buried in decoy link degradations and a NACK storm.
+    o.faultSchedule = sim::parseFaultSchedule(
+        "link:20@150000x4,nack:400@200000,bank:27@250000,"
+        "bank:0@270000,nack:0@290000,link:74@300000x8,"
+        "link:75@320000x2");
+    return c;
+}
+
+std::string
+readFile(const std::string &path)
+{
+    std::ifstream in(path);
+    std::ostringstream buf;
+    buf << in.rdbuf();
+    return buf.str();
 }
 
 } // namespace
@@ -147,9 +198,10 @@ TEST(ChaosFuzzer, FuzzReportIdenticalAtAnyJobCount)
     f.seed = 5;
     f.campaigns = 3;
     f.jobs = 1;
-    const chaos::FuzzReport one = chaos::runFuzz(f);
+    const chaos::FuzzReport one = chaos::runFuzz(f, chaos::generateMatrix(f));
     f.jobs = 4;
-    const chaos::FuzzReport four = chaos::runFuzz(f);
+    const chaos::FuzzReport four =
+        chaos::runFuzz(f, chaos::generateMatrix(f));
     EXPECT_EQ(one.digest, four.digest);
     EXPECT_EQ(one.failures, four.failures);
     ASSERT_EQ(one.results.size(), four.results.size());
@@ -206,51 +258,19 @@ TEST(ChaosShrink, RefusesPassingCampaign)
     EXPECT_THROW(chaos::shrinkCampaign(c, passing), FatalError);
 }
 
-// ------------------------------------------- planted keying regression
+// -------------------------------------------- spare-of-spare regression
 
-TEST(ChaosPlanted, FailsLegacyKeyingPassesHardened)
+TEST(ChaosRegression, SpareOfSpareKillCampaignPassesTheOracle)
 {
-    const chaos::Campaign planted = chaos::plantedSpareKeyingCampaign();
-    ASSERT_TRUE(planted.opts.allocOpts.legacySpareKeying);
-    const chaos::Verdict v = chaos::runOracle(planted.opts);
-    ASSERT_TRUE(v.failed);
-    EXPECT_EQ(v.errorType, "audit");
-    EXPECT_EQ(v.klass, "audit:alloc/freelist-integrity");
-
-    // The identical campaign under the hardened keying is clean.
-    chaos::Campaign hardened = planted;
-    hardened.opts.allocOpts.legacySpareKeying = false;
-    const chaos::Verdict hv = chaos::runOracle(hardened.opts);
-    EXPECT_FALSE(hv.failed) << hv.signature;
-}
-
-TEST(ChaosPlanted, ShrinksToTheKillCluster)
-{
-    const chaos::Campaign planted = chaos::plantedSpareKeyingCampaign();
-    const chaos::Verdict v = chaos::runOracle(planted.opts);
-    ASSERT_TRUE(v.failed);
-
-    std::uint32_t runs = 0;
-    const chaos::Campaign small =
-        chaos::shrinkCampaign(planted, v, &runs);
-    // The decoy link/NACK events peel away; the spare-of-spare kill
-    // pair (at most one decoy glued by timing) remains.
-    EXPECT_LE(small.opts.faultSchedule.size(), 3u);
-    std::uint32_t kills = 0;
-    for (const sim::TimedFault &ev : small.opts.faultSchedule)
-        kills += ev.kind == sim::FaultKind::killBank;
-    EXPECT_EQ(kills, 2u);
-
-    const chaos::Verdict sv = chaos::runOracle(small.opts);
-    ASSERT_TRUE(sv.failed);
-    EXPECT_EQ(sv.klass, v.klass);
+    const chaos::Verdict v = chaos::runOracle(spareOfSpareCampaign().opts);
+    EXPECT_FALSE(v.failed) << v.signature;
 }
 
 // ------------------------------------------------------------- bundles
 
 TEST(ChaosBundle, RoundTripsEveryField)
 {
-    const chaos::Campaign c = chaos::plantedSpareKeyingCampaign();
+    const chaos::Campaign c = spareOfSpareCampaign();
     chaos::Verdict v;
     v.failed = true;
     v.errorType = "audit";
@@ -266,8 +286,6 @@ TEST(ChaosBundle, RoundTripsEveryField)
     EXPECT_EQ(scheduleOf(parsed), scheduleOf(c));
     EXPECT_EQ(parsed.opts.seed, c.opts.seed);
     EXPECT_EQ(parsed.opts.allocOpts.seed, c.opts.allocOpts.seed);
-    EXPECT_EQ(parsed.opts.allocOpts.legacySpareKeying,
-              c.opts.allocOpts.legacySpareKeying);
     EXPECT_EQ(parsed.opts.numRequests, c.opts.numRequests);
     EXPECT_EQ(parsed.opts.arrivalsPerMcycle, c.opts.arrivalsPerMcycle);
     EXPECT_EQ(parsed.opts.burstiness, c.opts.burstiness);
@@ -303,23 +321,27 @@ TEST(ChaosBundle, RejectsMalformedInput)
 {
     EXPECT_THROW(chaos::parseBundle("{}"), FatalError);
     EXPECT_THROW(chaos::parseBundle("not json at all"), FatalError);
-    // Wrong version is refused, not misread.
-    const chaos::Campaign c = chaos::plantedSpareKeyingCampaign();
+    // A wrong version, or an old bundle written before the free-list
+    // keying had one path, is refused, not misread.
+    const chaos::Campaign c = spareOfSpareCampaign();
     chaos::Verdict v;
     v.failed = true;
-    std::string json = chaos::formatBundle(c, v);
-    const std::size_t at = json.find("\"version\": 1");
+    const std::string json = chaos::formatBundle(c, v);
+    const std::size_t at = json.find("\"version\": 2");
     ASSERT_NE(at, std::string::npos);
-    json.replace(at, 12, "\"version\": 9");
-    EXPECT_THROW(chaos::parseBundle(json), FatalError);
+    for (const char *old : {"\"version\": 1", "\"version\": 9"}) {
+        std::string bad = json;
+        bad.replace(at, 12, old);
+        EXPECT_THROW(chaos::parseBundle(bad), FatalError) << old;
+    }
 }
 
 TEST(ChaosBundle, ReplayReproducesTheShrunkFailure)
 {
-    const chaos::Campaign planted = chaos::plantedSpareKeyingCampaign();
-    const chaos::Verdict v = chaos::runOracle(planted.opts);
+    const chaos::Campaign failing = invalidTargetCampaign();
+    const chaos::Verdict v = chaos::runOracle(failing.opts);
     ASSERT_TRUE(v.failed);
-    const chaos::Campaign small = chaos::shrinkCampaign(planted, v);
+    const chaos::Campaign small = chaos::shrinkCampaign(failing, v);
     const chaos::Verdict sv = chaos::runOracle(small.opts);
     ASSERT_TRUE(sv.failed);
 
@@ -343,32 +365,36 @@ TEST(ChaosBundle, ReplayOfMissingFileIsAFatalError)
 
 // ------------------------------------------------------ full fuzz loop
 
-TEST(ChaosFuzz, PlantedMatrixFindsShrinksAndBundles)
+TEST(ChaosFuzz, FailingCampaignIsFoundShrunkBundledAndReplayed)
 {
     chaos::FuzzOptions f;
-    f.seed = 1;
-    f.campaigns = 1;
     f.jobs = 1;
-    f.plantSpareKeying = true;
-    f.bundleDir = testing::TempDir() + "/chaos-planted-fuzz";
-    const chaos::FuzzReport rep = chaos::runFuzz(f);
+    f.bundleDir = testing::TempDir() + "/chaos-fuzz";
+    const chaos::FuzzReport rep =
+        chaos::runFuzz(f, {invalidTargetCampaign()});
     EXPECT_EQ(rep.campaigns, 1u);
     ASSERT_EQ(rep.results.size(), 1u);
     EXPECT_NE(rep.digest, 0u);
 
-    // Planting seeds campaign 0 with the known-bad spare-of-spare
-    // matrix, so the run must find it, shrink it to a handful of
-    // fault events, and drop a replayable bundle.
+    // Found, and shrunk to the one load-bearing event.
     EXPECT_EQ(rep.failures, 1u);
     const chaos::CampaignResult &r = rep.results[0];
     ASSERT_TRUE(r.verdict.failed);
-    EXPECT_EQ(r.verdict.klass, "audit:alloc/freelist-integrity");
+    EXPECT_EQ(r.verdict.errorType, "fatal");
     ASSERT_TRUE(r.shrunkVerdict.failed);
-    EXPECT_LE(r.shrunk.opts.faultSchedule.size(), 3u);
+    EXPECT_EQ(sim::formatFaultSchedule(r.shrunk.opts.faultSchedule),
+              "bank:9999@400000");
+
+    // Bundled and replayed. The bundle is the committed one CI replays
+    // (tests/data/chaos/invalid-target.json), byte for byte. Its
+    // signature names the source line of the fatal in
+    // src/sim/fault.cc: when that line moves, commit the new text.
     ASSERT_FALSE(r.bundlePath.empty());
     const chaos::ReplayResult replay =
         chaos::replayBundleFile(r.bundlePath);
     EXPECT_TRUE(replay.reproduced);
+    EXPECT_EQ(readFile(r.bundlePath),
+              readFile(AFFALLOC_CHAOS_DATA_DIR "/invalid-target.json"));
     std::remove(r.bundlePath.c_str());
 }
 
@@ -376,5 +402,5 @@ TEST(ChaosFuzz, ZeroCampaignsIsAConfigError)
 {
     chaos::FuzzOptions f;
     f.campaigns = 0;
-    EXPECT_THROW(chaos::runFuzz(f), FatalError);
+    EXPECT_THROW(chaos::runFuzz(f, chaos::generateMatrix(f)), FatalError);
 }

@@ -663,18 +663,9 @@ TEST(StreamFault, NackStormEveryOffloadNacksOnceThenHeals)
 namespace
 {
 
-/** Machine stack with free-list auditing on, per-test keying mode. */
+/** Machine stack with free-list auditing on. */
 struct KeyingFixture
 {
-    explicit KeyingFixture(bool legacy)
-        : allocator(machine, [legacy] {
-              alloc::AllocatorOptions ao;
-              ao.legacySpareKeying = legacy;
-              return ao;
-          }())
-    {
-    }
-
     static sim::MachineConfig
     auditedConfig()
     {
@@ -687,7 +678,7 @@ struct KeyingFixture
     sim::MachineConfig cfg = auditedConfig();
     os::SimOS os{cfg};
     nsc::Machine machine{cfg, os};
-    alloc::AffinityAllocator allocator;
+    alloc::AffinityAllocator allocator{machine, {}};
 
     /** Park one freed slot on every bank's free list; returns the
      *  bank of the first slot and its affinity anchor. */
@@ -722,7 +713,7 @@ TEST(MachineFault, SpareOfSpareKillRekeysFreeLists)
     // the spare those slots were re-keyed to. The hardened keying
     // reconciles at each redirect change (counted in rekeyedSlots)
     // and the audit stays green; nothing asserts or crashes.
-    KeyingFixture f(/*legacy=*/false);
+    KeyingFixture f;
     const auto parked = f.parkSlots();
     const BankId victim = parked.first;
     const void *aff = parked.second;
@@ -750,56 +741,31 @@ TEST(MachineFault, SpareOfSpareKillRekeysFreeLists)
     f.machine.audit();
 }
 
-TEST(MachineFault, LegacySpareKeyingStrandsSlotsOnRetarget)
+TEST(MachineFault, AuditCatchesStaleSpareKeying)
 {
-    // The defect class the planted chaos campaign reproduces end to
-    // end: under the legacy keying, slots freed while their home
-    // bank is dead are keyed at the *current* redirect target; the
-    // re-affinity re-target that follows a later kill wave moves the
-    // service elsewhere and strands them, which the free-list audit
-    // reports (and the hardened keying above survives).
-    KeyingFixture f(/*legacy=*/true);
+    // The free-list audit is the net under the keying: a slot on the
+    // list of a bank that does not serve it (what keying by the
+    // alloc-time bank's spare left behind after a re-affinity
+    // re-target) is reported.
+    KeyingFixture f;
+    const void *aff = f.parkSlots().second;
+    void *slot = f.allocator.mallocAff(64, 1, &aff);
+    ASSERT_NE(slot, nullptr);
+    const Addr sim = f.machine.addressSpace().simAddrOf(slot);
+    const int k =
+        static_cast<int>((sim - mem::poolVirtBase) / mem::terabyte);
+    const BankId served = f.machine.bankOfSim(sim);
+    EXPECT_TRUE(f.machine.auditor().collect().empty());
 
-    alloc::AffineArray req;
-    req.elem_size = 64;
-    req.num_elem = kBanks * 4;
-    req.partition = true;
-    char *anchor = static_cast<char *>(f.allocator.mallocAff(req));
-    std::vector<void *> slots;
-    for (std::uint64_t i = 0; i < req.num_elem; ++i) {
-        const void *aff = anchor + i * 64;
-        slots.push_back(f.allocator.mallocAff(64, 1, &aff));
+    f.allocator.adoptFreeSlotForTest(k, (served + 1) % kBanks, slot, sim);
+    bool stale = false;
+    for (const simcheck::Violation &v : f.machine.auditor().collect()) {
+        stale = stale ||
+                (v.component == "alloc" &&
+                 v.check == "freelist-integrity" &&
+                 v.message.find("stale spare keying") != std::string::npos);
     }
-    const BankId victim = f.machine.bankOfHost(slots[0]);
-
-    // Kill first, free afterwards: legacy keys the victim's slots at
-    // its redirect-of-the-moment.
-    f.machine.injectBankFault(victim);
-    for (void *s : slots)
-        f.allocator.freeAff(s);
-    f.machine.audit(); // still self-consistent at this instant
-
-    // Re-affinity recovery re-targets the dead bank, as the serve
-    // engine does after every kill wave. The keyed slots go stale.
-    const BankId keyed = f.machine.faultPlan().redirect(victim);
-    BankId other = kBanks;
-    for (BankId b = 0; b < kBanks; ++b) {
-        if (b != keyed && b != victim && f.machine.bankLive(b)) {
-            other = b;
-            break;
-        }
-    }
-    ASSERT_LT(other, kBanks);
-    f.machine.faultPlan().setRedirect(victim, other);
-
-    try {
-        f.machine.audit();
-        ADD_FAILURE() << "legacy keying audit unexpectedly clean";
-    } catch (const simcheck::AuditError &e) {
-        ASSERT_FALSE(e.report().empty());
-        EXPECT_EQ(e.report().front().component, "alloc");
-        EXPECT_EQ(e.report().front().check, "freelist-integrity");
-    }
+    EXPECT_TRUE(stale);
 }
 
 TEST(StreamFault, BackoffExponentIsCappedAtEight)

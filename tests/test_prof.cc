@@ -11,9 +11,11 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <chrono>
 #include <cstdio>
 #include <cstring>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "graph/generators.hh"
@@ -21,7 +23,6 @@
 #include "serve/serve.hh"
 #include "sim/prof.hh"
 #include "sim/simcheck.hh"
-#include "sim/worker_pool.hh"
 #include "workloads/graph_workloads.hh"
 
 #include "test_helpers.hh"
@@ -258,6 +259,40 @@ TEST_F(ProfPhases, ServeJobWorkNestsUnderTheGrantingQuantum)
               nullptr);
 }
 
+TEST_F(ProfPhases, SampledEstimatesFitInsideAnExactlyTimedParent)
+{
+    // One timed entry of ~1 ms scales up to an estimate of tens of ms
+    // for 64 entries, far past the parent that really contains them.
+    // The exactly timed parent keeps its measured time; the sampled
+    // child is shrunk to fit inside it.
+    if (!prof::compiledIn)
+        GTEST_SKIP() << "built with -DAFFALLOC_PROF=OFF";
+    prof::setEnabled(true);
+    const std::uint64_t t0 = prof::nowNs();
+    {
+        PROF_SCOPE("test/exact");
+        for (int i = 0; i < 64; ++i) {
+            PROF_SCOPE_SAMPLED("test/sampled");
+            if (i == 0)
+                std::this_thread::sleep_for(std::chrono::milliseconds(1));
+        }
+    }
+    const std::uint64_t outside = prof::nowNs() - t0;
+    const prof::Snapshot snap = prof::harvest();
+    const prof::PhaseNode *exact = findPhase(snap.phases, "test/exact");
+    ASSERT_NE(exact, nullptr);
+    ASSERT_EQ(exact->children.size(), 1u);
+    const prof::PhaseNode &sampled = exact->children[0];
+    EXPECT_TRUE(sampled.sampled);
+    EXPECT_EQ(sampled.count, 64u);
+    // The parent reads what its clock measured: at least the sleep and
+    // at most the time around the whole scope.
+    EXPECT_GE(exact->inclusiveNs, 1'000'000u);
+    EXPECT_LE(exact->inclusiveNs, outside);
+    checkTreeInvariants(*exact);
+    EXPECT_LE(exclusiveSum(snap.phases), snap.wallNs);
+}
+
 TEST_F(ProfPhases, DisabledScopesRecordNothing)
 {
     if (!prof::compiledIn)
@@ -294,39 +329,6 @@ TEST_F(ProfTelemetry, CountersAddAndMax)
     }
     EXPECT_EQ(adds, 5u);
     EXPECT_EQ(hwm, 7u);
-}
-
-TEST_F(ProfTelemetry, RetiredPoolTelemetrySurvivesThePool)
-{
-    if (!prof::compiledIn)
-        GTEST_SKIP() << "built with -DAFFALLOC_PROF=OFF";
-    prof::setEnabled(true);
-    {
-        sim::WorkerPool pool(4);
-        for (int wave = 0; wave < 8; ++wave) {
-            pool.dispatch([](unsigned role) {
-                volatile std::uint64_t sink = 0;
-                for (std::uint64_t i = 0; i < 20000 * (role + 1); ++i)
-                    sink = sink + i;
-            });
-        }
-    }
-    const prof::Snapshot snap = prof::harvest();
-    bool found = false;
-    for (const prof::PoolTelemetry &p : snap.pools) {
-        if (p.threads != 4)
-            continue;
-        found = true;
-        EXPECT_GT(p.dispatches, 0u);
-        EXPECT_EQ(p.busyNs.size(), 4u);
-        for (const std::uint64_t b : p.busyNs)
-            EXPECT_GT(b, 0u);
-        // Critical path can never exceed total work, and total work
-        // can never exceed threads * critical path.
-        EXPECT_LE(p.sumMaxTaskNs, p.sumTaskNs);
-        EXPECT_LE(p.sumTaskNs, p.sumMaxTaskNs * p.threads);
-    }
-    EXPECT_TRUE(found) << "no retired 4-thread pool telemetry";
 }
 
 TEST_F(ProfTelemetry, ArenaFootprintsKeepTheHighWatermark)

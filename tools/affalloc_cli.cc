@@ -151,7 +151,6 @@ struct Options
     std::uint32_t campaigns = 8;
     unsigned jobs = 1; // --jobs or AFFALLOC_JOBS (harness::parseJobs)
     std::string bundleDir;
-    std::string plant;
     std::string replayPath;
 };
 
@@ -205,8 +204,6 @@ usage()
                  "--simcheck* as for corun]\n"
                  "  chaos --campaigns N --seed N --jobs N "
                  "--bundle-dir DIR\n"
-                 "      --plant spare-keying (known-bad legacy keying "
-                 "regression)\n"
                  "      --watchdog-cycles N (livelock threshold; also "
                  "accepted by run/corun/serve;\n"
                  "       env AFFALLOC_SIMCHECK_WATCHDOG)\n"
@@ -389,14 +386,6 @@ parse(int argc, char **argv)
             o.bundleDir = next("--bundle-dir");
         } else if (a == "--replay") {
             o.replayPath = next("--replay");
-        } else if (a == "--plant") {
-            o.plant = next("--plant");
-            if (o.plant != "spare-keying") {
-                std::fprintf(stderr,
-                             "--plant=%s: only 'spare-keying' is "
-                             "known\n", o.plant.c_str());
-                usage();
-            }
         } else if (a == "--prof-out") {
             // Validated (path opened) by harness::applyProfFlags in
             // main(); consume the value here.
@@ -673,21 +662,12 @@ cmdCorun(const Options &o)
     copts.obs.metrics = o.heatmap == "banks";
     copts.obs.tracePath = o.traceOut;
 
-    // parseTenantSpecs rejects unknown workloads with the full list of
-    // valid names; surface that as a clean CLI error, not a backtrace.
-    tenant::CorunReport report;
-    try {
-        std::vector<tenant::TenantSpec> specs =
-            tenant::parseTenantSpecs(o.tenants);
-        const traffic::TrafficConfig tc =
-            applyTrafficOptions(o, copts.machine);
-        for (tenant::TenantSpec &s : traffic::makeBackgroundSpecs(tc))
-            specs.push_back(std::move(s));
-        report = tenant::runCorun(specs, copts);
-    } catch (const FatalError &e) {
-        std::fprintf(stderr, "%s\n", e.what());
-        return 2;
-    }
+    std::vector<tenant::TenantSpec> specs =
+        tenant::parseTenantSpecs(o.tenants);
+    const traffic::TrafficConfig tc = applyTrafficOptions(o, copts.machine);
+    for (tenant::TenantSpec &s : traffic::makeBackgroundSpecs(tc))
+        specs.push_back(std::move(s));
+    const tenant::CorunReport report = tenant::runCorun(specs, copts);
 
     tenant::printCorunReport(report);
     if (o.simcheckDigest) {
@@ -763,23 +743,13 @@ cmdServe(const Options &o)
     sopts.obs.tracePath = o.traceOut;
     sopts.obs.explainPath = o.explainOut;
 
-    // Bad mixes, rates and fault targets are config errors: surface
-    // them as clean CLI errors, not backtraces.
-    serve::ServeReport report;
-    try {
-        if (!o.faultSchedule.empty())
-            sopts.faultSchedule =
-                sim::parseFaultSchedule(o.faultSchedule);
-        if (!o.mix.empty())
-            sopts.classes = parseServeMix(o.mix);
-        const traffic::TrafficConfig tc =
-            applyTrafficOptions(o, sopts.machine);
-        sopts.background = traffic::makeBackgroundSpecs(tc);
-        report = serve::runServe(sopts);
-    } catch (const FatalError &e) {
-        std::fprintf(stderr, "%s\n", e.what());
-        return 2;
-    }
+    if (!o.faultSchedule.empty())
+        sopts.faultSchedule = sim::parseFaultSchedule(o.faultSchedule);
+    if (!o.mix.empty())
+        sopts.classes = parseServeMix(o.mix);
+    const traffic::TrafficConfig tc = applyTrafficOptions(o, sopts.machine);
+    sopts.background = traffic::makeBackgroundSpecs(tc);
+    const serve::ServeReport report = serve::runServe(sopts);
 
     serve::printServeReport(report, execModeName(o.mode));
     if (o.simcheckDigest) {
@@ -802,80 +772,64 @@ cmdServe(const Options &o)
 int
 cmdChaos(const Options &o)
 {
-    // Bundle/config problems are clean CLI errors, not backtraces.
-    try {
-        if (!o.replayPath.empty()) {
-            const chaos::ReplayResult r =
-                chaos::replayBundleFile(o.replayPath);
-            std::printf(
-                "replay     %s\n"
-                "campaign   #%u: %u requests over %llu cycles, "
-                "schedule %s\n"
-                "expected   [%s] %s\n"
-                "got        [%s] %s\n"
-                "reproduced %s\n",
-                o.replayPath.c_str(), r.campaign.index,
-                r.campaign.opts.numRequests,
-                (unsigned long long)r.campaign.opts.maxCycles,
-                sim::formatFaultSchedule(r.campaign.opts.faultSchedule)
-                    .c_str(),
-                r.expected.errorType.c_str(),
-                r.expected.signature.c_str(),
-                r.got.failed ? r.got.errorType.c_str() : "pass",
-                r.got.failed ? r.got.signature.c_str() : "-",
-                r.reproduced ? "yes" : "NO");
-            return r.reproduced ? 0 : 1;
-        }
-
-        chaos::FuzzOptions f;
-        if (o.serveSeed)
-            f.seed = o.serveSeed;
-        f.campaigns = o.campaigns;
-        f.jobs = o.jobs;
-        f.plantSpareKeying = o.plant == "spare-keying";
-        if (o.simcheckWatchdogSet)
-            f.watchdogStallEpochs = o.simcheckWatchdog;
-        f.bundleDir = o.bundleDir;
-
-        const chaos::FuzzReport rep = chaos::runFuzz(f);
-        std::printf("chaos      seed %llu | %u campaigns | jobs %u%s\n",
-                    (unsigned long long)f.seed, rep.campaigns, f.jobs,
-                    f.plantSpareKeying ? " | planted spare-keying"
-                                       : "");
-        for (const chaos::CampaignResult &r : rep.results) {
-            if (!r.verdict.failed)
-                continue;
-            std::printf("  #%-3u FAIL %s\n"
-                        "       sig    %s\n"
-                        "       was    %s\n"
-                        "       shrunk %s (requests %u, horizon %llu, "
-                        "%u oracle runs)\n",
-                        r.index, r.verdict.klass.c_str(),
-                        r.verdict.signature.c_str(),
-                        r.schedule.empty() ? "(no faults)"
-                                           : r.schedule.c_str(),
-                        sim::formatFaultSchedule(
-                            r.shrunk.opts.faultSchedule)
-                                .empty()
-                            ? "(no faults)"
-                            : sim::formatFaultSchedule(
-                                  r.shrunk.opts.faultSchedule)
-                                  .c_str(),
-                        r.shrunk.opts.numRequests,
-                        (unsigned long long)r.shrunk.opts.maxCycles,
-                        r.shrinkOracleRuns);
-            if (!r.bundlePath.empty())
-                std::printf("       bundle %s\n", r.bundlePath.c_str());
-        }
-        std::printf("verdict    %u/%u campaigns clean | digest "
-                    "0x%016llx\n",
-                    rep.campaigns - rep.failures, rep.campaigns,
-                    (unsigned long long)rep.digest);
-        return rep.failures ? 1 : 0;
-    } catch (const FatalError &e) {
-        std::fprintf(stderr, "%s\n", e.what());
-        return 2;
+    if (!o.replayPath.empty()) {
+        const chaos::ReplayResult r = chaos::replayBundleFile(o.replayPath);
+        std::printf(
+            "replay     %s\n"
+            "campaign   #%u: %u requests over %llu cycles, "
+            "schedule %s\n"
+            "expected   [%s] %s\n"
+            "got        [%s] %s\n"
+            "reproduced %s\n",
+            o.replayPath.c_str(), r.campaign.index,
+            r.campaign.opts.numRequests,
+            (unsigned long long)r.campaign.opts.maxCycles,
+            sim::formatFaultSchedule(r.campaign.opts.faultSchedule).c_str(),
+            r.expected.errorType.c_str(), r.expected.signature.c_str(),
+            r.got.failed ? r.got.errorType.c_str() : "pass",
+            r.got.failed ? r.got.signature.c_str() : "-",
+            r.reproduced ? "yes" : "NO");
+        return r.reproduced ? 0 : 1;
     }
+
+    chaos::FuzzOptions f;
+    if (o.serveSeed)
+        f.seed = o.serveSeed;
+    f.campaigns = o.campaigns;
+    f.jobs = o.jobs;
+    if (o.simcheckWatchdogSet)
+        f.watchdogStallEpochs = o.simcheckWatchdog;
+    f.bundleDir = o.bundleDir;
+
+    const chaos::FuzzReport rep =
+        chaos::runFuzz(f, chaos::generateMatrix(f));
+    std::printf("chaos      seed %llu | %u campaigns | jobs %u\n",
+                (unsigned long long)f.seed, rep.campaigns, f.jobs);
+    for (const chaos::CampaignResult &r : rep.results) {
+        if (!r.verdict.failed)
+            continue;
+        const std::string shrunk =
+            sim::formatFaultSchedule(r.shrunk.opts.faultSchedule);
+        std::printf("  #%-3u FAIL %s\n"
+                    "       sig    %s\n"
+                    "       was    %s\n"
+                    "       shrunk %s (requests %u, horizon %llu, "
+                    "%u oracle runs)\n",
+                    r.index, r.verdict.klass.c_str(),
+                    r.verdict.signature.c_str(),
+                    r.schedule.empty() ? "(no faults)" : r.schedule.c_str(),
+                    shrunk.empty() ? "(no faults)" : shrunk.c_str(),
+                    r.shrunk.opts.numRequests,
+                    (unsigned long long)r.shrunk.opts.maxCycles,
+                    r.shrinkOracleRuns);
+        if (!r.bundlePath.empty())
+            std::printf("       bundle %s\n", r.bundlePath.c_str());
+    }
+    std::printf("verdict    %u/%u campaigns clean | digest "
+                "0x%016llx\n",
+                rep.campaigns - rep.failures, rep.campaigns,
+                (unsigned long long)rep.digest);
+    return rep.failures ? 1 : 0;
 }
 
 } // namespace
@@ -888,30 +842,30 @@ main(int argc, char **argv)
             std::strcmp(argv[i], "version") == 0)
             printVersion();
     }
-    // Open --prof-out up front and read --jobs and the other flags;
-    // invalid values/paths are clean CLI errors, not backtraces (or
-    // worse, harvest-time failures after a long run).
-    Options o;
+    // Open --prof-out up front and read --jobs and the other flags
+    // (invalid values/paths fail here, not at harvest after a long
+    // run). A config error from the flags or from the run itself is a
+    // clean `fatal:` line and exit 2, never a backtrace.
     try {
         harness::applyProfFlags(argc, argv);
         const unsigned jobs = harness::parseJobs(argc, argv);
-        o = parse(argc, argv);
+        Options o = parse(argc, argv);
         o.jobs = jobs;
+        if (o.command == "topo")
+            return cmdTopo(o);
+        if (o.command == "layout")
+            return cmdLayout(o);
+        if (o.command == "run")
+            return cmdRun(o);
+        if (o.command == "corun")
+            return cmdCorun(o);
+        if (o.command == "serve")
+            return cmdServe(o);
+        if (o.command == "chaos")
+            return cmdChaos(o);
     } catch (const FatalError &e) {
         std::fprintf(stderr, "%s\n", e.what());
         return 2;
     }
-    if (o.command == "topo")
-        return cmdTopo(o);
-    if (o.command == "layout")
-        return cmdLayout(o);
-    if (o.command == "run")
-        return cmdRun(o);
-    if (o.command == "corun")
-        return cmdCorun(o);
-    if (o.command == "serve")
-        return cmdServe(o);
-    if (o.command == "chaos")
-        return cmdChaos(o);
     usage();
 }
