@@ -123,10 +123,6 @@ AffinityAllocator::AffinityAllocator(nsc::Machine &machine,
     if (!std::isfinite(opts_.hybridH) || opts_.hybridH < 0.0)
         SIM_FATAL("alloc", "Eq. 4 load weight H must be finite and >= 0, "
                   "got %g", opts_.hybridH);
-    if (opts_.maxAffinityAddrs > maxAffinityAddrsLimit) {
-        SIM_FATAL("alloc", "maxAffinityAddrs %u exceeds the limit of %u",
-                  opts_.maxAffinityAddrs, maxAffinityAddrsLimit);
-    }
     // Slot records hold bank + 1 in 16 bits.
     if (numBanks_ >= 0xffff)
         SIM_FATAL("alloc", "%u banks exceed the slot-record range", numBanks_);
@@ -303,8 +299,7 @@ AffinityAllocator::nthLiveBank(std::uint32_t n) const
 
 void *
 AffinityAllocator::largeAlloc(std::size_t bytes, std::uint64_t intrlv,
-                              BankId start_bank, bool partitioned,
-                              std::uint64_t chunk_bytes)
+                              BankId start_bank)
 {
     if (intrlv % mem::pageSize != 0)
         SIM_PANIC("alloc", "large interleaving %llu not page aligned",
@@ -321,9 +316,6 @@ AffinityAllocator::largeAlloc(std::size_t bytes, std::uint64_t intrlv,
     void *host = newHost(alloc_bytes);
     ownedHost_.emplace(host, alloc_bytes);
     machine_.addressSpace().registerRange(host, alloc_bytes, sim);
-
-    (void)partitioned;
-    (void)chunk_bytes;
     return host;
 }
 
@@ -350,7 +342,7 @@ AffinityAllocator::allocInterleaved(std::size_t bytes, std::uint64_t intrlv,
         info.poolOffset = cut.offset;
         info.allocBytes = cut.bytes;
     } else if (intrlv >= mem::pageSize && intrlv % mem::pageSize == 0) {
-        host = largeAlloc(bytes, intrlv, start_bank, false, 0);
+        host = largeAlloc(bytes, intrlv, start_bank);
     } else {
         SIM_FATAL("alloc", "unsupported interleaving %llu", (unsigned long long)intrlv);
     }
@@ -370,7 +362,6 @@ AffinityAllocator::allocInterleaved(std::size_t bytes, std::uint64_t intrlv,
 std::uint64_t
 AffinityAllocator::chooseIntraInterleave(std::uint64_t row_bytes) const
 {
-    const auto &mesh_cfg = machine_.config();
     const std::uint32_t B = numBanks_;
     double best_cost = std::numeric_limits<double>::infinity();
     std::uint64_t best = lineSize_;
@@ -429,8 +420,28 @@ AffinityAllocator::chooseIntraInterleave(std::uint64_t row_bytes) const
             }
         }
     }
-    (void)mesh_cfg;
     return best;
+}
+
+void *
+AffinityAllocator::poolAllocAffine(std::size_t bytes, int k,
+                                   BankId start_bank, ArrayInfo &info,
+                                   const char *what)
+{
+    const PoolCut cut = poolAllocFallback(bytes, k, start_bank);
+    if (cut.host == nullptr) {
+        warn("mallocAff: pools exhausted; %s request degraded to the "
+             "conventional heap",
+             what);
+        machine_.stats().allocFallbacks += 1;
+        stats_.fallbacks += 1;
+        return nullptr;
+    }
+    info.poolIdx = k;
+    info.poolOffset = cut.offset;
+    info.allocBytes = cut.bytes;
+    info.intrlv = mem::poolInterleave(k);
+    return cut.host;
 }
 
 void *
@@ -456,24 +467,14 @@ AffinityAllocator::mallocAff(const AffineArray &req)
         if (chunk_raw <= mem::maxPoolInterleave) {
             const std::uint64_t intrlv =
                 pow2Ceil(std::max<std::uint64_t>(chunk_raw, lineSize_));
-            int kp = mem::poolIndexFor(intrlv);
-            const PoolCut cut = poolAllocFallback(bytes, kp, 0);
-            if (cut.host == nullptr) {
-                warn("mallocAff: pools exhausted; partitioned request "
-                     "degraded to the conventional heap");
-                machine_.stats().allocFallbacks += 1;
-                stats_.fallbacks += 1;
+            host = poolAllocAffine(bytes, mem::poolIndexFor(intrlv), 0,
+                                   info, "partitioned");
+            if (host == nullptr)
                 return allocPlain(bytes);
-            }
-            host = cut.host;
-            info.poolIdx = kp;
-            info.poolOffset = cut.offset;
-            info.allocBytes = cut.bytes;
-            info.intrlv = mem::poolInterleave(kp);
             info.chunkBytes = info.intrlv;
         } else {
             const std::uint64_t chunk = mem::roundUpPage(chunk_raw);
-            host = largeAlloc(bytes, chunk, 0, true, chunk);
+            host = largeAlloc(bytes, chunk, 0);
             info.intrlv = chunk;
             info.chunkBytes = chunk;
         }
@@ -511,25 +512,13 @@ AffinityAllocator::mallocAff(const AffineArray &req)
         const std::int64_t b = std::int64_t(numBanks_);
         const BankId start = static_cast<BankId>(
             ((std::int64_t(ali->startBank) + blocks) % b + b) % b);
-        int k = mem::poolIndexFor(intrlv);
-        if (k >= 0) {
-            const PoolCut cut = poolAllocFallback(bytes, k, start);
-            if (cut.host == nullptr) {
-                warn("mallocAff: pools exhausted; aligned request "
-                     "degraded to the conventional heap");
-                machine_.stats().allocFallbacks += 1;
-                stats_.fallbacks += 1;
+        if (const int k = mem::poolIndexFor(intrlv); k >= 0) {
+            host = poolAllocAffine(bytes, k, start, info, "aligned");
+            if (host == nullptr)
                 return allocPlain(bytes);
-            }
-            host = cut.host;
-            info.poolIdx = k;
-            info.poolOffset = cut.offset;
-            info.allocBytes = cut.bytes;
-            info.intrlv = mem::poolInterleave(k);
         } else if (intrlv >= mem::pageSize &&
                    intrlv % mem::pageSize == 0) {
-            host = largeAlloc(bytes, intrlv, start,
-                              ali->partitioned, intrlv);
+            host = largeAlloc(bytes, intrlv, start);
             info.partitioned = ali->partitioned;
             info.chunkBytes = ali->partitioned ? intrlv : 0;
             info.intrlv = intrlv;
@@ -545,42 +534,20 @@ AffinityAllocator::mallocAff(const AffineArray &req)
         const std::uint64_t row_bytes =
             static_cast<std::uint64_t>(req.align_x) * elem;
         const std::uint64_t intrlv = chooseIntraInterleave(row_bytes);
-        int k = mem::poolIndexFor(intrlv);
-        if (k >= 0) {
-            const PoolCut cut = poolAllocFallback(bytes, k, 0);
-            if (cut.host == nullptr) {
-                warn("mallocAff: pools exhausted; intra-affinity "
-                     "request degraded to the conventional heap");
-                machine_.stats().allocFallbacks += 1;
-                stats_.fallbacks += 1;
+        if (const int k = mem::poolIndexFor(intrlv); k >= 0) {
+            host = poolAllocAffine(bytes, k, 0, info, "intra-affinity");
+            if (host == nullptr)
                 return allocPlain(bytes);
-            }
-            host = cut.host;
-            info.poolIdx = k;
-            info.poolOffset = cut.offset;
-            info.allocBytes = cut.bytes;
-            info.intrlv = mem::poolInterleave(k);
         } else {
-            host = largeAlloc(bytes, intrlv, 0, false, 0);
+            host = largeAlloc(bytes, intrlv, 0);
             info.intrlv = intrlv;
         }
         info.startBank = 0;
     } else {
         // Default: finest interleaving (one cache line).
-        int k = 0;
-        const PoolCut cut = poolAllocFallback(bytes, k, 0);
-        if (cut.host == nullptr) {
-            warn("mallocAff: pools exhausted; default request degraded "
-                 "to the conventional heap");
-            machine_.stats().allocFallbacks += 1;
-            stats_.fallbacks += 1;
+        host = poolAllocAffine(bytes, 0, 0, info, "default");
+        if (host == nullptr)
             return allocPlain(bytes);
-        }
-        host = cut.host;
-        info.poolIdx = k;
-        info.poolOffset = cut.offset;
-        info.allocBytes = cut.bytes;
-        info.intrlv = mem::poolInterleave(k);
         info.startBank = 0;
     }
 
@@ -876,12 +843,12 @@ AffinityAllocator::mallocAff(std::size_t size, int num_aff_addrs,
     const int k = mem::poolIndexFor(intrlv);
     maybeReconcileFreeLists();
 
-    std::array<BankId, maxAffinityAddrsLimit> banks;
+    std::array<BankId, maxAffinityAddrs> banks;
     std::uint32_t n = 0;
     const std::uint32_t limit =
         std::min<std::uint32_t>(static_cast<std::uint32_t>(
                                     std::max(num_aff_addrs, 0)),
-                                opts_.maxAffinityAddrs);
+                                maxAffinityAddrs);
     for (std::uint32_t i = 0; i < limit; ++i) {
         if (!aff_addrs[i])
             continue;
@@ -1065,8 +1032,7 @@ AffinityAllocator::reallocAff(void *ptr, std::size_t new_bytes)
         // other arrays survives the resize.
         next = allocInterleaved(new_bytes, old.intrlv, old.startBank);
     } else if (old.intrlv != 0) {
-        next = largeAlloc(new_bytes, old.intrlv, old.startBank,
-                          old.partitioned, old.chunkBytes);
+        next = largeAlloc(new_bytes, old.intrlv, old.startBank);
         ArrayInfo ninfo = old;
         ninfo.simBase = machine_.addressSpace().simAddrOf(next);
         ninfo.bytes = new_bytes;

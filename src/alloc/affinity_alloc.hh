@@ -75,11 +75,11 @@ enum class BankPolicy : std::uint8_t
 };
 
 /**
- * Most affinity addresses one irregular allocation can consider: the
- * bound on AllocatorOptions::maxAffinityAddrs, so mallocAff can gather
- * the affinity banks in a stack buffer.
+ * Most affinity addresses one irregular allocation considers (§5.1);
+ * mallocAff ignores the rest and gathers the banks of these in a stack
+ * buffer.
  */
-inline constexpr std::uint32_t maxAffinityAddrsLimit = 64;
+inline constexpr std::uint32_t maxAffinityAddrs = 32;
 
 /** Human-readable policy name (figure labels). */
 const char *bankPolicyName(BankPolicy p);
@@ -121,9 +121,6 @@ struct AllocatorOptions
     double hybridH = 5.0;
     /** Seed for the random policy. */
     std::uint64_t seed = 7;
-    /** Max affinity addresses considered per allocation (§5.1);
-     *  at most maxAffinityAddrsLimit. */
-    std::uint32_t maxAffinityAddrs = 32;
     /** OS arena this allocator draws pools from (tenant isolation). */
     std::uint32_t arena = 0;
     /**
@@ -167,7 +164,9 @@ struct AllocStats
     std::uint64_t affineAllocs = 0;
     /** Irregular allocations served from pools. */
     std::uint64_t irregularAllocs = 0;
-    /** Allocations that fell back to the plain heap. */
+    /** Allocations placed other than requested: in a finer pool
+     *  (affine), a coarser pool (irregular), at a dead bank's spare
+     *  (allocSlotAtBank) or on the plain heap. */
     std::uint64_t fallbacks = 0;
     /** Bytes wasted aligning pool bumps to a start bank. */
     std::uint64_t alignmentWasteBytes = 0;
@@ -433,6 +432,15 @@ class AffinityAllocator
      */
     PoolCut poolAllocFallback(std::size_t bytes, int &k,
                               BankId start_bank);
+    /**
+     * An affine request's pool placement: poolAllocFallback from pool
+     * @p k, filling @p info's pool fields and interleaving. When every
+     * pool is exhausted, warns (naming the @p what request), counts
+     * the fallback and returns null; the caller then returns
+     * allocPlain().
+     */
+    void *poolAllocAffine(std::size_t bytes, int k, BankId start_bank,
+                          ArrayInfo &info, const char *what);
     /** The @p n-th live bank in numbering order (fault degradation). */
     BankId nthLiveBank(std::uint32_t n) const;
     /**
@@ -446,8 +454,7 @@ class AffinityAllocator
     void maybeReconcileFreeLists();
     /** Large page-multiple interleaving via page-at-bank remapping. */
     void *largeAlloc(std::size_t bytes, std::uint64_t intrlv,
-                     BankId start_bank, bool partitioned,
-                     std::uint64_t chunk_bytes);
+                     BankId start_bank);
     /** Record an ArrayInfo keyed by host pointer. */
     void record(void *host, ArrayInfo info);
     /** Pick the interleaving for an intra-array affinity request. */

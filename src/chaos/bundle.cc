@@ -4,9 +4,12 @@
  * holding everything needed to re-run a (shrunk) failing campaign on
  * any build: the serving configuration, the fault schedule in the
  * CLI's `bank:<id>@<cycle>,...` grammar, and the recorded verdict to
- * compare against. The writer and the hand-rolled reader here are
- * the only JSON code in the repo, so the format stays deliberately
- * minimal: string and integer/double values only, no nesting.
+ * compare against. The reader here is the only JSON parser in the
+ * repo, so the format stays deliberately minimal: string and
+ * integer/double values only, no nesting. A bundle is input from
+ * outside the program, so every number goes through sim::parseCount
+ * or sim::parseReal and every string escape must be one the writer
+ * (sim::jsonEscape) produces.
  *
  * The class list round-trips through an extended mix grammar
  * `wl:weight:maxRetries:retryBackoff:giveUpAfter`, comma-separated,
@@ -14,13 +17,14 @@
  * livelocks — replays exactly.
  */
 
-#include <cstdlib>
+#include <cctype>
 #include <filesystem>
 #include <fstream>
 #include <sstream>
 
 #include "chaos/chaos.hh"
 #include "sim/log.hh"
+#include "sim/parse.hh"
 
 namespace affalloc::chaos
 {
@@ -29,43 +33,6 @@ namespace
 {
 
 constexpr int bundleVersion = 2;
-
-std::string
-jsonEscape(const std::string &s)
-{
-    std::string out;
-    out.reserve(s.size());
-    for (const char c : s) {
-        switch (c) {
-          case '\\': out += "\\\\"; break;
-          case '"': out += "\\\""; break;
-          case '\n': out += "\\n"; break;
-          case '\t': out += "\\t"; break;
-          default: out += c;
-        }
-    }
-    return out;
-}
-
-std::string
-jsonUnescape(const std::string &s)
-{
-    std::string out;
-    out.reserve(s.size());
-    for (std::size_t i = 0; i < s.size(); ++i) {
-        if (s[i] != '\\' || i + 1 >= s.size()) {
-            out += s[i];
-            continue;
-        }
-        ++i;
-        switch (s[i]) {
-          case 'n': out += '\n'; break;
-          case 't': out += '\t'; break;
-          default: out += s[i];
-        }
-    }
-    return out;
-}
 
 /** Position of the value after `"key":` (whitespace skipped), or npos. */
 std::size_t
@@ -82,6 +49,11 @@ findKey(const std::string &json, const char *key)
     return at;
 }
 
+/**
+ * The string value of @p key, decoding the escapes sim::jsonEscape
+ * writes (plus `\t`, which older bundles carry); any other escape is
+ * fatal.
+ */
 std::string
 getString(const std::string &json, const char *key)
 {
@@ -89,46 +61,83 @@ getString(const std::string &json, const char *key)
     if (at == std::string::npos || at >= json.size() ||
         json[at] != '"')
         SIM_FATAL("chaos", "bundle is missing string key \"%s\"", key);
-    std::string raw;
+    std::string out;
     for (std::size_t i = at + 1; i < json.size(); ++i) {
-        if (json[i] == '\\' && i + 1 < json.size()) {
-            raw += json[i];
-            raw += json[i + 1];
-            ++i;
-        } else if (json[i] == '"') {
-            return jsonUnescape(raw);
-        } else {
-            raw += json[i];
+        if (json[i] == '"')
+            return out;
+        if (json[i] != '\\') {
+            out += json[i];
+            continue;
+        }
+        const char e = ++i < json.size() ? json[i] : '\0';
+        switch (e) {
+          case '"': case '\\': out += e; break;
+          case 'n': out += '\n'; break;
+          case 't': out += '\t'; break;
+          case 'u': {
+            // \u00XX: the control characters jsonEscape spells out.
+            unsigned v = 0;
+            for (int d = 0; d < 4; ++d) {
+                const char h = ++i < json.size() ? json[i] : '\0';
+                if (!std::isxdigit(static_cast<unsigned char>(h)))
+                    SIM_FATAL("chaos", "bundle key \"%s\": malformed "
+                              "\\u escape", key);
+                v = v * 16 + (h <= '9' ? h - '0' : (h | 0x20) - 'a' + 10);
+            }
+            if (v >= 0x80)
+                SIM_FATAL("chaos", "bundle key \"%s\": \\u%04x is not "
+                          "ASCII", key, v);
+            out += static_cast<char>(v);
+            break;
+          }
+          default:
+            SIM_FATAL("chaos", "bundle key \"%s\": unsupported escape "
+                      "'\\%c'", key, e);
         }
     }
     SIM_FATAL("chaos", "bundle key \"%s\": unterminated string", key);
 }
 
+/** The bare (numeric) value of @p key: up to the next ',', '}' or
+ *  line end, trailing blanks dropped. */
+std::string
+getToken(const std::string &json, const char *key)
+{
+    const std::size_t at = findKey(json, key);
+    if (at == std::string::npos)
+        SIM_FATAL("chaos", "bundle is missing numeric key \"%s\"", key);
+    std::string tok = json.substr(at, json.find_first_of(",}\n", at) - at);
+    while (!tok.empty() && (tok.back() == ' ' || tok.back() == '\t' ||
+                            tok.back() == '\r'))
+        tok.pop_back();
+    return tok;
+}
+
 double
 getDouble(const std::string &json, const char *key)
 {
-    const std::size_t at = findKey(json, key);
-    if (at == std::string::npos)
-        SIM_FATAL("chaos", "bundle is missing numeric key \"%s\"", key);
-    char *end = nullptr;
-    const double v = std::strtod(json.c_str() + at, &end);
-    if (end == json.c_str() + at)
-        SIM_FATAL("chaos", "bundle key \"%s\" is not a number", key);
-    return v;
+    return sim::parseReal("chaos", (std::string("bundle ") + key).c_str(),
+                          getToken(json, key));
 }
 
 std::uint64_t
-getU64(const std::string &json, const char *key)
+getU64(const std::string &json, const char *key,
+       std::uint64_t max = ~std::uint64_t(0))
 {
-    const std::size_t at = findKey(json, key);
-    if (at == std::string::npos)
-        SIM_FATAL("chaos", "bundle is missing numeric key \"%s\"", key);
-    char *end = nullptr;
-    const std::uint64_t v =
-        std::strtoull(json.c_str() + at, &end, 10);
-    if (end == json.c_str() + at)
-        SIM_FATAL("chaos", "bundle key \"%s\" is not a number", key);
-    return v;
+    return sim::parseCount("chaos", (std::string("bundle ") + key).c_str(),
+                           getToken(json, key), max);
+}
+
+std::uint32_t
+getU32(const std::string &json, const char *key)
+{
+    return static_cast<std::uint32_t>(getU64(json, key, ~std::uint32_t(0)));
+}
+
+bool
+getFlag(const std::string &json, const char *key)
+{
+    return getU64(json, key, 1) != 0;
 }
 
 /** %.17g: shortest form that round-trips an IEEE double. */
@@ -175,14 +184,20 @@ parseMix(const std::string &spec)
                       "bundle mix entry '%s' (want "
                       "wl:weight:retries:backoff:giveup)",
                       item.c_str());
+        std::string extra;
+        if (std::getline(fields, extra))
+            SIM_FATAL("chaos", "bundle mix entry '%s' has fields past "
+                      "giveup", item.c_str());
         serve::ServeClass c;
         c.workload = wl;
-        c.weight = std::strtod(weight.c_str(), nullptr);
-        c.maxRetries =
-            static_cast<std::uint32_t>(std::strtoul(retries.c_str(),
-                                                    nullptr, 10));
-        c.retryBackoff = std::strtoull(backoff.c_str(), nullptr, 10);
-        c.giveUpAfter = std::strtoull(giveup.c_str(), nullptr, 10);
+        c.weight = sim::parseReal("chaos", "bundle mix weight", weight);
+        c.maxRetries = static_cast<std::uint32_t>(
+            sim::parseCount("chaos", "bundle mix retries", retries,
+                            ~std::uint32_t(0)));
+        c.retryBackoff = sim::parseCount("chaos", "bundle mix backoff",
+                                         backoff, ~std::uint64_t(0));
+        c.giveUpAfter = sim::parseCount("chaos", "bundle mix giveup",
+                                        giveup, ~std::uint64_t(0));
         classes.push_back(c);
     }
     return classes;
@@ -201,7 +216,7 @@ formatBundle(const Campaign &c, const Verdict &v)
     os << "  \"mode\": " << static_cast<int>(o.mode) << ",\n";
     os << "  \"mesh_x\": " << o.machine.meshX << ",\n";
     os << "  \"mesh_y\": " << o.machine.meshY << ",\n";
-    os << "  \"mix\": \"" << jsonEscape(formatMix(o.classes))
+    os << "  \"mix\": \"" << sim::jsonEscape(formatMix(o.classes))
        << "\",\n";
     os << "  \"requests\": " << o.numRequests << ",\n";
     os << "  \"rate\": " << fmtDouble(o.arrivalsPerMcycle) << ",\n";
@@ -221,11 +236,11 @@ formatBundle(const Campaign &c, const Verdict &v)
     os << "  \"watchdog\": " << o.machine.simcheck.watchdogStallEpochs
        << ",\n";
     os << "  \"schedule\": \""
-       << jsonEscape(sim::formatFaultSchedule(o.faultSchedule))
+       << sim::jsonEscape(sim::formatFaultSchedule(o.faultSchedule))
        << "\",\n";
-    os << "  \"error_type\": \"" << jsonEscape(v.errorType) << "\",\n";
-    os << "  \"klass\": \"" << jsonEscape(v.klass) << "\",\n";
-    os << "  \"signature\": \"" << jsonEscape(v.signature) << "\"\n";
+    os << "  \"error_type\": \"" << sim::jsonEscape(v.errorType) << "\",\n";
+    os << "  \"klass\": \"" << sim::jsonEscape(v.klass) << "\",\n";
+    os << "  \"signature\": \"" << sim::jsonEscape(v.signature) << "\"\n";
     os << "}\n";
     return os.str();
 }
@@ -239,33 +254,27 @@ parseBundle(const std::string &json, Verdict *expected)
                   static_cast<unsigned long long>(version),
                   bundleVersion);
     Campaign c;
-    c.index = static_cast<std::uint32_t>(getU64(json, "index"));
+    c.index = getU32(json, "index");
     serve::ServeOptions &o = c.opts;
-    o.mode = static_cast<ExecMode>(getU64(json, "mode"));
-    o.machine.meshX =
-        static_cast<std::uint32_t>(getU64(json, "mesh_x"));
-    o.machine.meshY =
-        static_cast<std::uint32_t>(getU64(json, "mesh_y"));
+    o.mode = static_cast<ExecMode>(
+        getU64(json, "mode", static_cast<std::uint64_t>(ExecMode::affAlloc)));
+    o.machine.meshX = getU32(json, "mesh_x");
+    o.machine.meshY = getU32(json, "mesh_y");
     o.classes = parseMix(getString(json, "mix"));
-    o.numRequests =
-        static_cast<std::uint32_t>(getU64(json, "requests"));
+    o.numRequests = getU32(json, "requests");
     o.arrivalsPerMcycle = getDouble(json, "rate");
     o.burstiness = getDouble(json, "burstiness");
-    o.slots = static_cast<std::uint32_t>(getU64(json, "slots"));
-    o.queueCapacity =
-        static_cast<std::uint32_t>(getU64(json, "queue"));
-    o.quantumEpochs =
-        static_cast<std::uint32_t>(getU64(json, "quantum"));
+    o.slots = getU32(json, "slots");
+    o.queueCapacity = getU32(json, "queue");
+    o.quantumEpochs = getU32(json, "quantum");
     o.maxCycles = getU64(json, "max_cycles");
     o.seed = getU64(json, "serve_seed");
     o.allocOpts.seed = getU64(json, "alloc_seed");
-    o.quick = getU64(json, "quick") != 0;
-    o.reaffinity = getU64(json, "reaffinity") != 0;
-    o.machine.simcheck.audit = getU64(json, "audit") != 0;
-    o.machine.simcheck.auditPeriodEpochs =
-        static_cast<std::uint32_t>(getU64(json, "audit_period"));
-    o.machine.simcheck.watchdogStallEpochs =
-        static_cast<std::uint32_t>(getU64(json, "watchdog"));
+    o.quick = getFlag(json, "quick");
+    o.reaffinity = getFlag(json, "reaffinity");
+    o.machine.simcheck.audit = getFlag(json, "audit");
+    o.machine.simcheck.auditPeriodEpochs = getU32(json, "audit_period");
+    o.machine.simcheck.watchdogStallEpochs = getU32(json, "watchdog");
     o.faultSchedule =
         sim::parseFaultSchedule(getString(json, "schedule"));
     if (expected) {

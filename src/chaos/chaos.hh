@@ -139,9 +139,10 @@ FuzzReport runFuzz(const FuzzOptions &f, const std::vector<Campaign> &camps);
 
 /**
  * Normalize a failure message into a stable fingerprint: first line
- * only, every numeric token of >= 5 hex/decimal digits (addresses,
- * cycle counts, host pointers) collapsed to '#', truncated to 240
- * chars. Short numbers (bank ids, pool indices) are preserved.
+ * only, the line number of a `file.cc:LINE` / `file.hh:LINE` source
+ * location and every numeric token of >= 5 hex/decimal digits
+ * (addresses, cycle counts, host pointers) collapsed to '#', truncated
+ * to 240 chars. Short numbers (bank ids, pool indices) are preserved.
  */
 std::string normalizeSignature(const std::string &raw);
 

@@ -10,6 +10,7 @@
 #include <algorithm>
 #include <cctype>
 #include <functional>
+#include <regex>
 
 #include "chaos/chaos.hh"
 #include "harness/sweep.hh"
@@ -97,7 +98,12 @@ collapseNumbers(const std::string &raw, std::size_t min_len)
 std::string
 normalizeSignature(const std::string &raw)
 {
-    return collapseNumbers(raw, 5);
+    // A diagnostic's `file.cc:LINE` moves with every edit of its file;
+    // the line is no part of the failure.
+    static const std::regex location(R"(([\w./-]+\.(?:cc|hh)):\d+)");
+    return collapseNumbers(
+        std::regex_replace(raw.substr(0, raw.find('\n')), location, "$1:#"),
+        5);
 }
 
 Verdict

@@ -250,11 +250,6 @@ BenchSimCheck::parse(int argc, char **argv)
         else if (std::strcmp(argv[i], "--faulty") == 0)
             sc.faulty = true;
     }
-    if (sc.audit && !simcheck::compiledIn) {
-        std::fprintf(stderr,
-                     "warning: --simcheck requested but this binary was "
-                     "built with AFFALLOC_SIMCHECK=OFF\n");
-    }
     return sc;
 }
 

@@ -152,16 +152,8 @@ applyProfFlags(int argc, char **argv)
                     validateProgressInterval(env, "AFFALLOC_PROGRESS");
         }
     }
-    if (prof_path) {
+    if (prof_path)
         openProfOut(prof_path);
-        if (!prof::compiledIn) {
-            std::fprintf(stderr,
-                         "warning: [harness] this build has "
-                         "AFFALLOC_PROF=OFF; '%s' will carry an empty "
-                         "profile\n",
-                         prof_path);
-        }
-    }
     if (progress)
         prof::progressEnable(interval);
     return prof_path != nullptr;

@@ -10,43 +10,39 @@
 namespace affalloc::nsc
 {
 
-void
-TimingParams::validate() const
+namespace
 {
-    if (l3ServiceCycles <= 0.0)
-        SIM_FATAL("nsc", "timing: l3ServiceCycles must be positive (%g)",
-              l3ServiceCycles);
-    if (atomicExtraCycles < 0.0)
-        SIM_FATAL("nsc", "timing: atomicExtraCycles must be non-negative (%g)",
-              atomicExtraCycles);
-    if (coreIssueCycles <= 0.0)
-        SIM_FATAL("nsc", "timing: coreIssueCycles must be positive (%g)",
-              coreIssueCycles);
-    if (coreFlopsPerCycle <= 0.0)
-        SIM_FATAL("nsc", "timing: coreFlopsPerCycle must be positive (%g)",
-              coreFlopsPerCycle);
-    if (seFlopsPerCycle <= 0.0)
-        SIM_FATAL("nsc", "timing: seFlopsPerCycle must be positive (%g)",
-              seFlopsPerCycle);
-    if (epochOverheadCycles < 0.0)
-        SIM_FATAL("nsc", "timing: epochOverheadCycles must be non-negative (%g)",
-              epochOverheadCycles);
-    if (coreMaxMlp <= 0.0)
-        SIM_FATAL("nsc", "timing: coreMaxMlp must be positive (%g); zero would "
-              "divide irregular-access occupancy by zero",
-              coreMaxMlp);
-}
 
-Machine::Machine(const sim::MachineConfig &cfg, os::SimOS &os,
-                 TimingParams tp)
-    : cfg_(cfg), tp_(tp), os_(os), net_(cfg, stats_),
+// Event costs of the timing model.
+/** L3 bank occupancy per line access (pipelined tag+data). */
+constexpr double l3ServiceCycles = 0.5;
+/** Extra L3 bank occupancy for an atomic RMW (serializes). */
+constexpr double atomicExtraCycles = 0.5;
+/** Core occupancy per issued memory instruction. */
+constexpr double coreIssueCycles = 0.5;
+/** Flops retired per cycle by a core (SIMD FMA throughput). */
+constexpr double coreFlopsPerCycle = 32.0;
+/** Flops retired per cycle by a near-stream SMT compute thread. */
+constexpr double seFlopsPerCycle = 32.0;
+/** Control message payload bytes (requests, credits). */
+constexpr std::uint32_t controlBytes = 16;
+/** Stream migration message payload bytes. */
+constexpr std::uint32_t migrateBytes = 64;
+/** Stream configuration message payload bytes. */
+constexpr std::uint32_t configBytes = 96;
+/** Fixed per-epoch overhead (sync, credit turnaround). */
+constexpr double epochOverheadCycles = 64.0;
+
+} // namespace
+
+Machine::Machine(const sim::MachineConfig &cfg, os::SimOS &os)
+    : cfg_(cfg), os_(os), net_(cfg, stats_),
       mapper_(cfg, os.iot(), &os.faultPlan()),
       dram_(cfg, net_.mesh(), stats_),
       bankBusy_(cfg.numBanks(), 0.0), coreBusy_(cfg.numTiles(), 0.0),
       seBusy_(cfg.numBanks(), 0.0), epochAtomics_(cfg.numBanks(), 0)
 {
     cfg_.validate();
-    tp_.validate();
     net_.setFaultPlan(&os_.faultPlan());
     stats_.offlineBanks = os_.faultPlan().numOfflineBanks();
     // Bank numbering (§4.1): where bank id b physically sits.
@@ -341,7 +337,7 @@ Machine::endEpoch(double latency_floor, const std::string &phase)
     busiest = std::max(busiest, dram_.maxChannelBusy());
 
     const Cycles duration =
-        static_cast<Cycles>(busiest + tp_.epochOverheadCycles);
+        static_cast<Cycles>(busiest + epochOverheadCycles);
     stats_.cycles += duration;
     stats_.epochs += 1;
     // Cleared before the watchdog/audit throw points below: once the
@@ -543,11 +539,11 @@ Machine::probeL3Line(BankId home, Addr pline, bool is_write)
     if (!res.hit) {
         stats_.l3Misses += 1;
         const TileId ctrl = dram_.controllerTile(dram_.channelOf(pline));
-        p.extra += send(bankTile_[home], ctrl, tp_.controlBytes,
+        p.extra += send(bankTile_[home], ctrl, controlBytes,
                         TrafficClass::control);
         p.extra += dram_.access(pline, is_write);
         p.extra += send(ctrl, bankTile_[home],
-                        cfg_.lineSize + tp_.controlBytes, TrafficClass::data);
+                        cfg_.lineSize + controlBytes, TrafficClass::data);
     }
     if (res.writeback)
         writeBackL3Victim(home, res.victimLine);
@@ -560,7 +556,7 @@ Machine::writeBackL3Victim(BankId home, Addr victim)
     // The dirty victim travels to its DRAM controller off the critical
     // path.
     const TileId ctrl = dram_.controllerTile(dram_.channelOf(victim));
-    send(bankTile_[home], ctrl, cfg_.lineSize + tp_.controlBytes,
+    send(bankTile_[home], ctrl, cfg_.lineSize + controlBytes,
          TrafficClass::data);
     dram_.access(victim, true);
 }
@@ -595,7 +591,7 @@ Machine::ioWrite(TileId ingress, Addr vaddr, std::uint32_t bytes)
             // occupancy is untouched.
             const std::uint32_t ch = dram_.channelOf(pline);
             const TileId ctrl = dram_.controllerTile(ch);
-            total += send(ingress, ctrl, cfg_.lineSize + tp_.controlBytes,
+            total += send(ingress, ctrl, cfg_.lineSize + controlBytes,
                           TrafficClass::data);
             total += dram_.access(pline, true);
             continue;
@@ -606,9 +602,9 @@ Machine::ioWrite(TileId ingress, Addr vaddr, std::uint32_t bytes)
         // line); only dirty victims travel to memory.
         const BankId home = mapper_.bankOf(paddr);
         total += send(ingress, bankTile_[home],
-                      cfg_.lineSize + tp_.controlBytes, TrafficClass::data);
+                      cfg_.lineSize + controlBytes, TrafficClass::data);
         stats_.l3Accesses += 1;
-        chargeBankBusy(home, tp_.l3ServiceCycles);
+        chargeBankBusy(home, l3ServiceCycles);
         const auto res =
             cfg_.llcIoPolicy == sim::LlcIoPolicy::wayRestrict
                 ? l3Banks_[home].accessCapped(pline, true, cfg_.llcIoWays)
@@ -635,7 +631,7 @@ Machine::coreAccess(CoreId core, Addr vaddr, std::uint32_t bytes,
     const bool is_write = type != AccessType::read;
 
     for (Addr vline = first; vline <= last; ++vline) {
-        chargeCoreBusy(core, tp_.coreIssueCycles);
+        chargeCoreBusy(core, coreIssueCycles);
 
         if (type != AccessType::atomic) {
             // L1 probe (virtually indexed model).
@@ -659,8 +655,8 @@ Machine::coreAccess(CoreId core, Addr vaddr, std::uint32_t bytes,
                     r2.victimLine * cfg_.lineSize);
                 const BankId wb_home = mapper_.bankOf(wb_p);
                 send(core, bankTile_[wb_home],
-                     cfg_.lineSize + tp_.controlBytes, TrafficClass::data);
-                chargeBankBusy(wb_home, tp_.l3ServiceCycles);
+                     cfg_.lineSize + controlBytes, TrafficClass::data);
+                chargeBankBusy(wb_home, l3ServiceCycles);
                 probeL3Line(wb_home, wb_p / cfg_.lineSize, true);
             }
             if (r2.hit) {
@@ -680,9 +676,9 @@ Machine::coreAccess(CoreId core, Addr vaddr, std::uint32_t bytes,
         out.bank = home;
 
         Cycles lat = tlb_lat;
-        lat += send(core, bankTile_[home], tp_.controlBytes,
+        lat += send(core, bankTile_[home], controlBytes,
                     TrafficClass::control);
-        chargeBankBusy(home, tp_.l3ServiceCycles);
+        chargeBankBusy(home, l3ServiceCycles);
         const Probe probe = probeL3Line(home, pline, is_write);
         lat += cfg_.l3Latency + probe.extra;
         out.servedBy = std::max(out.servedBy, probe.hit ? 3 : 4);
@@ -693,21 +689,21 @@ Machine::coreAccess(CoreId core, Addr vaddr, std::uint32_t bytes,
             stats_.atomicOps += 1;
             if (metrics_)
                 metrics_->bankAtomic(home);
-            chargeBankBusy(home, tp_.atomicExtraCycles);
-            lat += send(bankTile_[home], core, tp_.controlBytes,
+            chargeBankBusy(home, atomicExtraCycles);
+            lat += send(bankTile_[home], core, controlBytes,
                         TrafficClass::control);
-            send(bankTile_[home], core, tp_.controlBytes,
+            send(bankTile_[home], core, controlBytes,
                  TrafficClass::control);
         } else {
             lat += send(bankTile_[home], core,
-                        cfg_.lineSize + tp_.controlBytes, TrafficClass::data);
+                        cfg_.lineSize + controlBytes, TrafficClass::data);
         }
         const Cycles latency = cfg_.l1Latency + cfg_.l2Latency + lat;
         out.latency += latency;
         if (!prefetch_friendly) {
             // Irregular L2 miss: the core can only hide coreMaxMlp of
             // these, so sustained throughput is latency / MLP.
-            chargeCoreBusy(core, double(latency) / tp_.coreMaxMlp);
+            chargeCoreBusy(core, double(latency) / coreMaxMlp);
         }
     }
     return out;
@@ -717,7 +713,7 @@ void
 Machine::coreCompute(CoreId core, double flops)
 {
     stats_.coreOps += static_cast<std::uint64_t>(flops);
-    chargeCoreBusy(core, flops / tp_.coreFlopsPerCycle);
+    chargeCoreBusy(core, flops / coreFlopsPerCycle);
 }
 
 AccessOutcome
@@ -748,14 +744,14 @@ Machine::l3StreamAccess(BankId requester, Addr vaddr, std::uint32_t bytes,
             lat += send(bankTile_[requester], bankTile_[home],
                         is_write && type != AccessType::atomic
                             ? std::min<std::uint32_t>(bytes, cfg_.lineSize) +
-                                  tp_.controlBytes
-                            : tp_.controlBytes,
+                                  controlBytes
+                            : controlBytes,
                         type == AccessType::atomic
                             ? TrafficClass::control
                             : (is_write ? TrafficClass::data
                                         : TrafficClass::control));
         }
-        chargeBankBusy(home, tp_.l3ServiceCycles);
+        chargeBankBusy(home, l3ServiceCycles);
         const Probe probe = probeL3Line(home, pline, is_write);
         lat += cfg_.l3Latency + probe.extra;
         out.servedBy = std::max(out.servedBy, probe.hit ? 3 : 4);
@@ -764,22 +760,22 @@ Machine::l3StreamAccess(BankId requester, Addr vaddr, std::uint32_t bytes,
             stats_.atomicOps += 1;
             if (metrics_)
                 metrics_->bankAtomic(home);
-            chargeBankBusy(home, tp_.atomicExtraCycles);
+            chargeBankBusy(home, atomicExtraCycles);
             noteAtomicStream(home);
             if (remote) {
                 lat += send(bankTile_[home], bankTile_[requester],
-                            tp_.controlBytes, TrafficClass::control);
+                            controlBytes, TrafficClass::control);
             }
         } else if (remote) {
             if (!is_write) {
                 const std::uint32_t resp =
                     std::min<std::uint32_t>(bytes, cfg_.lineSize);
                 lat += send(bankTile_[home], bankTile_[requester],
-                            resp + tp_.controlBytes, TrafficClass::data);
+                            resp + controlBytes, TrafficClass::data);
             } else {
                 // Write ack.
                 lat += send(bankTile_[home], bankTile_[requester],
-                            tp_.controlBytes, TrafficClass::control);
+                            controlBytes, TrafficClass::control);
             }
         }
         out.latency += lat;
@@ -801,7 +797,7 @@ Cycles
 Machine::migrateStream(BankId from, BankId to)
 {
     stats_.streamMigrations += 1;
-    return send(bankTile_[from], bankTile_[to], tp_.migrateBytes,
+    return send(bankTile_[from], bankTile_[to], migrateBytes,
                 TrafficClass::offload);
 }
 
@@ -809,7 +805,7 @@ Cycles
 Machine::configStream(CoreId core, BankId first_bank)
 {
     stats_.streamConfigs += 1;
-    return send(core, bankTile_[first_bank], tp_.configBytes,
+    return send(core, bankTile_[first_bank], configBytes,
                 TrafficClass::offload);
 }
 
@@ -874,8 +870,8 @@ Machine::offloadNack(CoreId core, BankId bank)
             detail::formatMessage("\"core\":%u,\"bank\":%u", core, bank));
     }
     Cycles lat =
-        send(core, bankTile_[bank], tp_.configBytes, TrafficClass::offload);
-    lat += send(bankTile_[bank], core, tp_.controlBytes,
+        send(core, bankTile_[bank], configBytes, TrafficClass::offload);
+    lat += send(bankTile_[bank], core, controlBytes,
                 TrafficClass::control);
     return lat;
 }
@@ -883,7 +879,7 @@ Machine::offloadNack(CoreId core, BankId bank)
 void
 Machine::creditMessage(CoreId core, BankId bank)
 {
-    send(core, bankTile_[bank], tp_.controlBytes, TrafficClass::control);
+    send(core, bankTile_[bank], controlBytes, TrafficClass::control);
 }
 
 void
@@ -892,7 +888,7 @@ Machine::seCompute(BankId bank, double flops)
     stats_.seOps += static_cast<std::uint64_t>(flops);
     if (metrics_)
         metrics_->bankSeOps(bank, static_cast<std::uint64_t>(flops));
-    chargeSeBusy(bank, flops / tp_.seFlopsPerCycle);
+    chargeSeBusy(bank, flops / seFlopsPerCycle);
 }
 
 void

@@ -37,36 +37,13 @@
 namespace affalloc::nsc
 {
 
-/** Tunable event costs of the timing model. */
-struct TimingParams
-{
-    /** L3 bank occupancy per line access (pipelined tag+data). */
-    double l3ServiceCycles = 0.5;
-    /** Extra L3 bank occupancy for an atomic RMW (serializes). */
-    double atomicExtraCycles = 0.5;
-    /** Core occupancy per issued memory instruction. */
-    double coreIssueCycles = 0.5;
-    /** Flops retired per cycle by a core (SIMD FMA throughput). */
-    double coreFlopsPerCycle = 32.0;
-    /** Flops retired per cycle by a near-stream SMT compute thread. */
-    double seFlopsPerCycle = 32.0;
-    /** Control message payload bytes (requests, credits). */
-    std::uint32_t controlBytes = 16;
-    /** Stream migration message payload bytes. */
-    std::uint32_t migrateBytes = 64;
-    /** Stream configuration message payload bytes. */
-    std::uint32_t configBytes = 96;
-    /** Fixed per-epoch overhead (sync, credit turnaround). */
-    double epochOverheadCycles = 64.0;
-    /** Max memory-level parallelism of one core (ROB/LQ bound). */
-    double coreMaxMlp = 12.0;
-
-    /**
-     * Reject non-positive rates/costs that would silently produce
-     * zero or negative epoch durations; fatal() with a clear message.
-     */
-    void validate() const;
-};
+/**
+ * Max memory-level parallelism of one core (ROB/LQ bound). The other
+ * event costs of the timing model are constants in machine.cc; this
+ * one is public because the pointer-chasing workloads size their
+ * critical paths with it.
+ */
+inline constexpr double coreMaxMlp = 12.0;
 
 /** What happened on a simulated memory access (for callers/tests). */
 struct AccessOutcome
@@ -88,15 +65,13 @@ class Machine
 {
   public:
     /** Build a machine over a booted OS. */
-    Machine(const sim::MachineConfig &cfg, os::SimOS &os,
-            TimingParams tp = TimingParams{});
+    Machine(const sim::MachineConfig &cfg, os::SimOS &os);
 
     Machine(const Machine &) = delete;
     Machine &operator=(const Machine &) = delete;
 
     // --------------------------------------------------------- accessors
     const sim::MachineConfig &config() const { return cfg_; }
-    const TimingParams &timing() const { return tp_; }
     sim::Stats &stats() { return stats_; }
     const sim::Stats &stats() const { return stats_; }
     noc::Network &network() { return net_; }
@@ -416,7 +391,6 @@ class Machine
     void auditMapping(simcheck::CheckContext &ctx) const;
 
     sim::MachineConfig cfg_;
-    TimingParams tp_;
     os::SimOS &os_;
     sim::Stats stats_;
     noc::Network net_;

@@ -14,6 +14,9 @@ namespace
 /** How many lines ahead an affine NSC stream prefetches its L3 set. */
 constexpr Addr prefetchLines = 4;
 
+/** Elements per credit message in coarse-grained core<->SE sync. */
+constexpr std::uint32_t creditBatch = 256;
+
 } // namespace
 
 StreamExecutor::StreamExecutor(Machine &m, ExecMode mode)

@@ -145,9 +145,6 @@ class StreamExecutor
     /** Compute attached to @p stream at its current site. */
     void compute(const MigratingStream &stream, double flops);
 
-    /** Credit-batch size for coarse-grained core<->SE sync. */
-    std::uint32_t creditBatch = 256;
-
   private:
     void maybeCredit(MigratingStream &stream);
 

@@ -3,6 +3,7 @@
 #include <algorithm>
 
 #include "sim/log.hh"
+#include "sim/parse.hh"
 
 namespace affalloc::obs
 {
@@ -31,35 +32,6 @@ ChromeTracer::~ChromeTracer()
     }
 }
 
-std::string
-ChromeTracer::escape(const std::string &s)
-{
-    std::string out;
-    out.reserve(s.size());
-    for (const char c : s) {
-        switch (c) {
-          case '"':
-            out += "\\\"";
-            break;
-          case '\\':
-            out += "\\\\";
-            break;
-          case '\n':
-            out += "\\n";
-            break;
-          default:
-            if (static_cast<unsigned char>(c) < 0x20) {
-                char buf[8];
-                std::snprintf(buf, sizeof(buf), "\\u%04x", c);
-                out += buf;
-            } else {
-                out += c;
-            }
-        }
-    }
-    return out;
-}
-
 void
 ChromeTracer::emit(const std::string &json)
 {
@@ -82,7 +54,7 @@ ChromeTracer::ensureLane(std::uint32_t tid, const std::string &name)
     emit(detail::formatMessage(
         "{\"name\":\"thread_name\",\"ph\":\"M\",\"pid\":1,\"tid\":%u,"
         "\"args\":{\"name\":\"%s\"}}",
-        tid, escape(name).c_str()));
+        tid, sim::jsonEscape(name).c_str()));
 }
 
 void
@@ -93,7 +65,7 @@ ChromeTracer::epochSpan(const std::string &phase, Cycles start,
     emit(detail::formatMessage(
         "{\"name\":\"%s\",\"ph\":\"X\",\"pid\":1,\"tid\":0,"
         "\"ts\":%llu,\"dur\":%llu,\"args\":{\"epoch\":%llu}}",
-        phase.empty() ? "epoch" : escape(phase).c_str(),
+        phase.empty() ? "epoch" : sim::jsonEscape(phase).c_str(),
         (unsigned long long)start, (unsigned long long)duration,
         (unsigned long long)epoch_index));
 }
@@ -161,7 +133,7 @@ ChromeTracer::tenantSpan(std::uint32_t tenant_id, const std::string &name,
     emit(detail::formatMessage(
         "{\"name\":\"%s\",\"ph\":\"X\",\"pid\":1,\"tid\":%u,"
         "\"ts\":%llu,\"dur\":%llu,\"args\":{\"tenant\":%u}}",
-        escape(name).c_str(), tid, (unsigned long long)start,
+        sim::jsonEscape(name).c_str(), tid, (unsigned long long)start,
         (unsigned long long)(end - start), tenant_id));
 }
 

@@ -104,8 +104,6 @@ class ChromeTracer
     void ensureLane(std::uint32_t tid, const std::string &name);
     /** Write one already-rendered JSON event object. */
     void emit(const std::string &json);
-    /** Escape a string for embedding in a JSON literal. */
-    static std::string escape(const std::string &s);
 
     std::FILE *file_ = nullptr;
     std::string path_;

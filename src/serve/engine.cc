@@ -142,20 +142,14 @@ ServeEngine::ServeEngine(ServeOptions opts) : opts_(std::move(opts))
                     "registered workload",
                     b.workload.c_str());
 
-    // Merge the explicit campaign with any schedule carried inside
-    // the machine's fault config, and fix the firing order.
-    schedule_ = opts_.machine.faults.schedule;
-    schedule_.insert(schedule_.end(), opts_.faultSchedule.begin(),
-                     opts_.faultSchedule.end());
+    // Fix the campaign's firing order.
+    schedule_ = opts_.faultSchedule;
     std::stable_sort(schedule_.begin(), schedule_.end(),
                      [](const sim::TimedFault &a, const sim::TimedFault &b) {
                          return a.atCycle < b.atCycle;
                      });
     sim::validateFaultSchedule(schedule_, opts_.machine.meshX,
                                opts_.machine.meshY, opts_.maxCycles);
-    // The scheduler's machine must not see the schedule again at boot
-    // (events fire through this engine, not the FaultPlan ctor).
-    opts_.machine.faults.schedule.clear();
 
     // Background agents hold dedicated arenas past the request slots,
     // so the IOT budget covers both populations.
@@ -653,7 +647,6 @@ ServeEngine::run()
     copts.machine = opts_.machine;
     copts.mode = opts_.mode;
     copts.allocOpts = opts_.allocOpts;
-    copts.heapPolicy = opts_.heapPolicy;
     copts.policy = opts_.policy;
     copts.seed = opts_.seed;
     copts.quantumEpochs = opts_.quantumEpochs;

@@ -63,7 +63,6 @@ struct ServeOptions
     sim::MachineConfig machine{};
     ExecMode mode = ExecMode::affAlloc;
     alloc::AllocatorOptions allocOpts{};
-    os::PagePolicy heapPolicy = os::PagePolicy::linear;
     tenant::SchedPolicy policy = tenant::SchedPolicy::roundRobin;
     std::uint64_t seed = 42;
     std::uint32_t quantumEpochs = 8;

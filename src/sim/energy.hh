@@ -3,7 +3,8 @@
  * Event-based energy model standing in for McPAT + CACTI. Energy is
  * per-event dynamic energy plus static power integrated over the run;
  * the paper reports only *relative* energy efficiency, which is
- * dominated by these event counts.
+ * dominated by these event counts. The per-event energies and the
+ * chip's static power are constants in energy.cc.
  */
 
 #ifndef AFFALLOC_SIM_ENERGY_HH
@@ -15,29 +16,6 @@
 namespace affalloc::sim
 {
 
-/** Per-event dynamic energies (picojoules) and chip static power. */
-struct EnergyParams
-{
-    /** L1 data access. */
-    double l1AccessPj = 10.0;
-    /** Private L2 access. */
-    double l2AccessPj = 30.0;
-    /** Shared L3 bank access. */
-    double l3AccessPj = 100.0;
-    /** DRAM energy per byte transferred (~20 pJ/bit incl. PHY). */
-    double dramPerBytePj = 160.0;
-    /** NoC energy per flit-hop (32 B flit: link + router). */
-    double nocFlitHopPj = 26.0;
-    /** Scalar op on the wide OOO core (incl. frontend overheads). */
-    double coreOpPj = 32.0;
-    /** Scalar op on a near-stream compute thread (no LSQ/bpred). */
-    double seOpPj = 6.0;
-    /** Remote atomic RMW at an L3 bank. */
-    double atomicPj = 60.0;
-    /** Whole-chip static + clock power in watts. */
-    double staticWatts = 24.0;
-};
-
 /**
  * Compute total energy in joules for a Stats delta under a machine
  * configuration.
@@ -45,10 +23,8 @@ struct EnergyParams
 class EnergyModel
 {
   public:
-    /** Build the model for one machine and parameter set. */
-    explicit EnergyModel(const MachineConfig &cfg,
-                         EnergyParams params = EnergyParams{})
-        : cfg_(cfg), params_(params)
+    /** Build the model for one machine (only its clock matters). */
+    explicit EnergyModel(const MachineConfig &cfg) : clockGhz_(cfg.clockGhz)
     {}
 
     /** Total energy (joules) consumed by the events in @p stats. */
@@ -60,12 +36,8 @@ class EnergyModel
     /** Static-only energy (joules) over the stats' cycle count. */
     double staticJoules(const Stats &stats) const;
 
-    /** The parameters in use. */
-    const EnergyParams &params() const { return params_; }
-
   private:
-    MachineConfig cfg_;
-    EnergyParams params_;
+    double clockGhz_;
 };
 
 } // namespace affalloc::sim

@@ -208,10 +208,6 @@ FaultPlan::FaultPlan(const FaultConfig &cfg, std::uint32_t mesh_x,
     if (cfg.linkDegradeFactor > maxLinkDegradeFactor)
         SIM_FATAL("fault", "link degrade factor %u past the sanity bound %u",
                   cfg.linkDegradeFactor, maxLinkDegradeFactor);
-    // Target ids are checked here; event *times* are re-checked by the
-    // driver that knows the horizon (validateFaultSchedule with
-    // max_cycles), since the plan itself has no notion of a run length.
-    validateFaultSchedule(cfg.schedule, mesh_x, mesh_y, 0);
 
     liveMask_.assign(num_banks, 1);
     for (std::uint32_t picked = 0; picked < cfg.offlineBanks;) {

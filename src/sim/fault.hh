@@ -134,19 +134,13 @@ struct FaultConfig
     std::uint32_t maxOffloadRetries = 4;
     /** Base backoff in cycles; doubles per retry (capped). */
     std::uint32_t offloadRetryBackoff = 16;
-    /**
-     * Scheduled mid-run fault events (empty: none). Boot-time faults
-     * above fire before cycle 0; these fire while work is in flight,
-     * applied by the driver that owns the clock (serving front-end).
-     */
-    std::vector<TimedFault> schedule;
 
-    /** Whether any fault class is active. */
+    /** Whether any boot-time fault class is active. */
     bool
     any() const
     {
         return offlineBanks > 0 || offloadRejectRate > 0.0 ||
-               degradedLinks > 0 || !schedule.empty();
+               degradedLinks > 0;
     }
 };
 

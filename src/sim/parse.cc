@@ -2,6 +2,7 @@
 
 #include <cerrno>
 #include <cmath>
+#include <cstdio>
 #include <cstdlib>
 
 #include "sim/log.hh"
@@ -44,6 +45,29 @@ parseReal(const char *component, const char *origin, const std::string &text)
                   text.c_str());
     }
     return v;
+}
+
+std::string
+jsonEscape(const std::string &s)
+{
+    std::string out;
+    out.reserve(s.size());
+    for (const char c : s) {
+        const unsigned char uc = static_cast<unsigned char>(c);
+        if (c == '"' || c == '\\') {
+            out += '\\';
+            out += c;
+        } else if (c == '\n') {
+            out += "\\n";
+        } else if (uc < 0x20) {
+            char buf[8];
+            std::snprintf(buf, sizeof(buf), "\\u%04x", uc);
+            out += buf;
+        } else {
+            out += c;
+        }
+    }
+    return out;
 }
 
 } // namespace affalloc::sim

@@ -1,9 +1,10 @@
 /**
  * @file
- * Strict parsers for numeric flag values. Every layer that reads a
- * count or a real from a flag, an environment variable or a spec
- * string goes through these two, so all of them reject the same
- * garbage with the same message.
+ * Strict parsers for numeric values read from outside the program.
+ * Every layer that reads a count or a real from a flag, an environment
+ * variable, a spec string or a repro bundle goes through these two, so
+ * all of them reject the same garbage with the same message. Beside
+ * them sits the one JSON string escaper every JSON writer uses.
  */
 
 #ifndef AFFALLOC_SIM_PARSE_HH
@@ -32,6 +33,13 @@ std::uint64_t parseCount(const char *component, const char *origin,
  */
 double parseReal(const char *component, const char *origin,
                  const std::string &text);
+
+/**
+ * @p s escaped for the inside of a JSON string: `\"`, `\\`, `\n`,
+ * and `\u00XX` for every other control character; all other bytes
+ * pass through.
+ */
+std::string jsonEscape(const std::string &s);
 
 } // namespace affalloc::sim
 

@@ -9,6 +9,8 @@
 #include <memory>
 #include <mutex>
 
+#include "sim/parse.hh"
+
 namespace affalloc::prof
 {
 
@@ -65,8 +67,6 @@ peakRssKb()
 {
     return readProcStatusKb("VmHWM");
 }
-
-#ifndef AFFALLOC_PROF_DISABLED
 
 namespace detail
 {
@@ -546,51 +546,8 @@ resetForTest()
     enabledAtNs_ = enabled() ? steadyNs() : 0;
 }
 
-#else // AFFALLOC_PROF_DISABLED
-
-void setEnabled(bool) {}
-void addTimed(const char *, std::uint64_t) {}
-void *scopeCursor() { return nullptr; }
-void setScopeCursor(void *) {}
-void counterAdd(const char *, std::uint64_t) {}
-void counterMax(const char *, std::uint64_t) {}
-bool rssEpochTick() { return false; }
-void noteArenaFootprint(std::uint32_t, std::uint64_t) {}
-void progressEnable(double) {}
-bool progressEnabled() { return false; }
-void progressSetGoal(std::uint64_t) {}
-void progressNoteAdmitted(std::uint64_t) {}
-void progressAdvance(std::uint64_t) {}
-void progressTick(std::uint64_t, std::uint64_t) {}
-Snapshot harvest() { return Snapshot{}; }
-void resetForTest() {}
-
-#endif // AFFALLOC_PROF_DISABLED
-
 namespace
 {
-
-/** Minimal JSON string escaper (phase/counter names are tame, but a
- *  counter name with a quote must not corrupt the document). */
-std::string
-jsonEscape(const std::string &s)
-{
-    std::string out;
-    out.reserve(s.size());
-    for (const char c : s) {
-        if (c == '"' || c == '\\') {
-            out.push_back('\\');
-            out.push_back(c);
-        } else if (static_cast<unsigned char>(c) < 0x20) {
-            char buf[8];
-            std::snprintf(buf, sizeof(buf), "\\u%04x", c);
-            out += buf;
-        } else {
-            out.push_back(c);
-        }
-    }
-    return out;
-}
 
 void
 writePhase(std::FILE *out, const PhaseNode &n, int depth)
@@ -601,9 +558,9 @@ writePhase(std::FILE *out, const PhaseNode &n, int depth)
                  ",\"exclusive_ns\":%" PRIu64 ",\"count\":%" PRIu64
                  ",\"sampled\":%s,\"timed_entries\":%" PRIu64
                  ",\"children\":[",
-                 pad.c_str(), jsonEscape(n.name).c_str(), n.inclusiveNs,
-                 n.exclusiveNs, n.count, n.sampled ? "true" : "false",
-                 n.timedCount);
+                 pad.c_str(), sim::jsonEscape(n.name).c_str(),
+                 n.inclusiveNs, n.exclusiveNs, n.count,
+                 n.sampled ? "true" : "false", n.timedCount);
     for (std::size_t i = 0; i < n.children.size(); ++i) {
         std::fprintf(out, "%s\n", i ? "," : "");
         writePhase(out, n.children[i], depth + 1);
@@ -629,11 +586,9 @@ writeJson(std::FILE *out, const Snapshot &snap)
                  "  \"schema\": \"%s\",\n"
                  "  \"git_revision\": \"%s\",\n"
                  "  \"build_type\": \"%s\",\n"
-                 "  \"prof_compiled\": %s,\n"
                  "  \"wall_ns\": %" PRIu64 ",\n",
                  profSchemaVersion, AFFALLOC_GIT_REVISION,
-                 AFFALLOC_BUILD_TYPE, compiledIn ? "true" : "false",
-                 snap.wallNs);
+                 AFFALLOC_BUILD_TYPE, snap.wallNs);
 
     std::fprintf(out, "  \"phases\": [");
     for (std::size_t i = 0; i < snap.phases.size(); ++i) {
@@ -645,7 +600,7 @@ writeJson(std::FILE *out, const Snapshot &snap)
     std::fprintf(out, "  \"counters\": {");
     for (std::size_t i = 0; i < snap.counters.size(); ++i) {
         std::fprintf(out, "%s\n    \"%s\": %" PRIu64, i ? "," : "",
-                     jsonEscape(snap.counters[i].first).c_str(),
+                     sim::jsonEscape(snap.counters[i].first).c_str(),
                      snap.counters[i].second);
     }
     std::fprintf(out, "%s},\n", snap.counters.empty() ? "" : "\n  ");

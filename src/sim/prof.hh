@@ -27,8 +27,8 @@
  *     profSchemaVersion) consumed by tools/perf_diff.py.
  *
  * Cost model: with profiling disabled (the default) every PROF_SCOPE
- * is one relaxed atomic load and a predictable branch; compiled with
- * -DAFFALLOC_PROF=OFF it is nothing at all. Enabled PROF_SCOPEs cost
+ * is one relaxed atomic load and a predictable branch. Enabled
+ * PROF_SCOPEs cost
  * two steady_clock reads plus a child lookup, so they sit on
  * epoch-frequency paths. Per-element-hot sites (the allocator calls,
  * millions per bench) use PROF_SCOPE_SAMPLED instead: exact entry
@@ -49,17 +49,8 @@
 namespace affalloc::prof
 {
 
-/** Whether profiler support is compiled in at all. */
-#ifdef AFFALLOC_PROF_DISABLED
-inline constexpr bool compiledIn = false;
-#else
-inline constexpr bool compiledIn = true;
-#endif
-
 /** Schema identifier written into every JSON export. */
 inline constexpr const char *profSchemaVersion = "affalloc-prof-1";
-
-#ifndef AFFALLOC_PROF_DISABLED
 
 namespace detail
 {
@@ -74,16 +65,10 @@ enabled()
     return detail::enabled_.load(std::memory_order_relaxed);
 }
 
-#else
-
-inline bool enabled() { return false; }
-
-#endif // AFFALLOC_PROF_DISABLED
-
 /**
  * Runtime-enable / disable profiling. Enabling also stamps the
  * profiler's epoch-zero wall-clock (wall_ns in the export measures
- * from here). Safe to call repeatedly; a no-op when compiled out.
+ * from here). Safe to call repeatedly.
  */
 void setEnabled(bool on);
 
@@ -98,8 +83,6 @@ nowNsIfEnabled()
 }
 
 // --------------------------------------------------------------- scopes
-
-#ifndef AFFALLOC_PROF_DISABLED
 
 namespace detail
 {
@@ -187,33 +170,12 @@ class ScopeSampled
     ::affalloc::prof::ScopeSampled AFFALLOC_PROF_CONCAT(prof_scope_,          \
                                                         __LINE__)(name)
 
-#else
-
-class Scope
-{
-  public:
-    explicit Scope(const char *) {}
-};
-class ScopeSampled
-{
-  public:
-    explicit ScopeSampled(const char *) {}
-};
-#define PROF_SCOPE(name)                                                      \
-    do {                                                                      \
-    } while (0)
-#define PROF_SCOPE_SAMPLED(name)                                              \
-    do {                                                                      \
-    } while (0)
-
-#endif // AFFALLOC_PROF_DISABLED
-
 /**
  * Record @p ns of phase @p name as a completed child of the calling
  * thread's current scope (entered and exited in one call). Used where
  * an RAII scope cannot bracket the interval — e.g. the epoch *record*
  * phase runs between beginEpoch() and endEpoch() across many calls.
- * No-op when disabled/compiled out.
+ * No-op when disabled.
  */
 void addTimed(const char *name, std::uint64_t ns);
 

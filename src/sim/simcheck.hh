@@ -13,10 +13,6 @@
  * order-insensitive FNV-1a fold over (name, value) items, used to
  * fingerprint final stats and placement decisions so CI can assert
  * run-to-run determinism.
- *
- * Compile-time gate: configuring with -DAFFALLOC_SIMCHECK=OFF defines
- * AFFALLOC_SIMCHECK_DISABLED and pins the auditor off regardless of
- * runtime configuration; digests remain available.
  */
 
 #ifndef AFFALLOC_SIM_SIMCHECK_HH
@@ -37,13 +33,6 @@ struct Stats;
 
 namespace affalloc::simcheck
 {
-
-/** Whether SimCheck auditing support is compiled in at all. */
-#ifdef AFFALLOC_SIMCHECK_DISABLED
-inline constexpr bool compiledIn = false;
-#else
-inline constexpr bool compiledIn = true;
-#endif
 
 /**
  * Runtime knobs, carried inside sim::MachineConfig. Defaults come from
@@ -149,8 +138,8 @@ class Auditor
     /** Remove a check by id; unknown ids are ignored. */
     void unregisterCheck(int id);
 
-    /** Enable/disable epoch-boundary auditing (no-op when compiled out). */
-    void setEnabled(bool enabled) { enabled_ = compiledIn && enabled; }
+    /** Enable/disable epoch-boundary auditing. */
+    void setEnabled(bool enabled) { enabled_ = enabled; }
     bool enabled() const { return enabled_; }
 
     /** Epochs between audit passes (clamped to >= 1). */

@@ -69,7 +69,6 @@ tenantRunConfig(const CorunOptions &opts, std::uint64_t stream)
     workloads::RunConfig rc;
     rc.mode = opts.mode;
     rc.machine = opts.machine;
-    rc.heapPolicy = opts.heapPolicy;
     rc.allocOpts = opts.allocOpts;
     rc.allocOpts.seed = Rng::substreamSeed(opts.allocOpts.seed, stream);
     return rc;
@@ -276,7 +275,7 @@ TenantScheduler::TenantScheduler(CorunOptions opts,
         mem::numInterleavePools * num_slots + 2);
     opts_.machine.iotEntries = std::max(opts_.machine.iotEntries, needed);
 
-    os_ = std::make_unique<os::SimOS>(opts_.machine, opts_.heapPolicy);
+    os_ = std::make_unique<os::SimOS>(opts_.machine);
     machine_ = std::make_unique<nsc::Machine>(opts_.machine, *os_);
     if (opts_.obs.any()) {
         observer_ = std::make_unique<obs::Observer>(opts_.obs);

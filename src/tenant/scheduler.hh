@@ -50,7 +50,6 @@ struct CorunOptions
     sim::MachineConfig machine{};
     ExecMode mode = ExecMode::affAlloc;
     alloc::AllocatorOptions allocOpts{};
-    os::PagePolicy heapPolicy = os::PagePolicy::linear;
     SchedPolicy policy = SchedPolicy::roundRobin;
     /** Root seed; tenant i uses Rng::substreamSeed(seed, i). */
     std::uint64_t seed = 42;

@@ -13,6 +13,25 @@ namespace affalloc::traffic
 namespace
 {
 
+// Host-core agent shape.
+/** Working-set bytes the agent cycles over (quick: quartered). */
+constexpr std::uint64_t hostFootprintBytes = 4ull << 20;
+/** Memory instructions issued per epoch. */
+constexpr std::uint32_t hostOpsPerEpoch = 2048;
+/** Fraction of ops that are writes. */
+constexpr double hostWriteFraction = 0.3;
+/** Fraction of ops that are sequential/strided (prefetchable). */
+constexpr double hostStrideFraction = 0.5;
+
+// I/O injector shape.
+/** DMA window bytes the device cycles over (quick: quartered). */
+constexpr std::uint64_t ioWindowBytes = 8ull << 20;
+/** Cache lines written per epoch. */
+constexpr std::uint32_t ioLinesPerEpoch = 512;
+
+/** Epoch cap of either agent without a drain signal (quick: /16). */
+constexpr std::uint32_t agentMaxEpochs = 4096;
+
 /** Whether the scheduler asked background agents to wrap up. */
 bool
 drainRequested(const workloads::RunContext &ctx)
@@ -20,32 +39,32 @@ drainRequested(const workloads::RunContext &ctx)
     return ctx.config.stopRequested && *ctx.config.stopRequested;
 }
 
-} // namespace
-
+/** Runner for host agent @p index (AgentClass::host). */
 tenant::RunnerFn
-makeHostAgent(const HostAgentParams &p)
+makeHostAgent(std::uint32_t index)
 {
-    return [p](workloads::RunContext &ctx, std::uint64_t seed,
-               bool quick) -> workloads::RunResult {
+    return [index](workloads::RunContext &ctx, std::uint64_t seed,
+                   bool quick) -> workloads::RunResult {
         const sim::MachineConfig &mc = ctx.machine.config();
         const std::uint64_t bytes = std::max<std::uint64_t>(
-            mc.lineSize, quick ? p.footprintBytes / 4 : p.footprintBytes);
+            mc.lineSize,
+            quick ? hostFootprintBytes / 4 : hostFootprintBytes);
         void *buf =
             ctx.allocator.allocPlain(static_cast<std::size_t>(bytes));
         const Addr base = ctx.machine.addressSpace().simAddrOf(buf);
         const std::uint64_t lines = std::max<std::uint64_t>(
             1, bytes / mc.lineSize);
-        const CoreId core = p.index % mc.numTiles();
-        const std::uint32_t cap = std::max<std::uint32_t>(
-            1, quick ? p.maxEpochs / 16 : p.maxEpochs);
+        const CoreId core = index % mc.numTiles();
+        const std::uint32_t cap = quick ? agentMaxEpochs / 16
+                                        : agentMaxEpochs;
 
         Rng rng(seed);
         std::uint64_t cursor = 0;
         for (std::uint32_t e = 0; e < cap && !drainRequested(ctx); ++e) {
             ctx.machine.beginEpoch();
-            for (std::uint32_t op = 0; op < p.opsPerEpoch; ++op) {
-                const bool strided = rng.chance(p.strideFraction);
-                const bool write = rng.chance(p.writeFraction);
+            for (std::uint32_t op = 0; op < hostOpsPerEpoch; ++op) {
+                const bool strided = rng.chance(hostStrideFraction);
+                const bool write = rng.chance(hostWriteFraction);
                 const std::uint64_t line =
                     strided ? (cursor++ % lines) : rng.below(lines);
                 ctx.machine.coreAccess(
@@ -61,14 +80,15 @@ makeHostAgent(const HostAgentParams &p)
     };
 }
 
+/** Runner for I/O injector @p index (AgentClass::io). */
 tenant::RunnerFn
-makeIoStream(const IoStreamParams &p)
+makeIoStream(std::uint32_t index)
 {
-    return [p](workloads::RunContext &ctx, std::uint64_t seed,
-               bool quick) -> workloads::RunResult {
+    return [index](workloads::RunContext &ctx, std::uint64_t seed,
+                   bool quick) -> workloads::RunResult {
         const sim::MachineConfig &mc = ctx.machine.config();
         const std::uint64_t bytes = std::max<std::uint64_t>(
-            mc.lineSize, quick ? p.windowBytes / 4 : p.windowBytes);
+            mc.lineSize, quick ? ioWindowBytes / 4 : ioWindowBytes);
         void *buf =
             ctx.allocator.allocPlain(static_cast<std::size_t>(bytes));
         const Addr base = ctx.machine.addressSpace().simAddrOf(buf);
@@ -79,9 +99,9 @@ makeIoStream(const IoStreamParams &p)
         const TileId corners[4] = {0, mc.meshX - 1,
                                    mc.numTiles() - mc.meshX,
                                    mc.numTiles() - 1};
-        const TileId ingress = corners[p.index % 4];
-        const std::uint32_t cap = std::max<std::uint32_t>(
-            1, quick ? p.maxEpochs / 16 : p.maxEpochs);
+        const TileId ingress = corners[index % 4];
+        const std::uint32_t cap = quick ? agentMaxEpochs / 16
+                                        : agentMaxEpochs;
 
         Rng rng(seed);
         for (std::uint32_t e = 0; e < cap && !drainRequested(ctx); ++e) {
@@ -90,7 +110,7 @@ makeIoStream(const IoStreamParams &p)
             // consecutive lines — the sequential pattern real
             // descriptor rings produce.
             std::uint64_t line = rng.below(lines);
-            for (std::uint32_t k = 0; k < p.linesPerEpoch; ++k) {
+            for (std::uint32_t k = 0; k < ioLinesPerEpoch; ++k) {
                 ctx.machine.ioWrite(ingress,
                                     base + (line % lines) * mc.lineSize,
                                     mc.lineSize);
@@ -104,26 +124,24 @@ makeIoStream(const IoStreamParams &p)
     };
 }
 
+} // namespace
+
 std::vector<tenant::TenantSpec>
 makeBackgroundSpecs(const TrafficConfig &cfg)
 {
     std::vector<tenant::TenantSpec> specs;
     for (std::uint32_t i = 0; i < cfg.hostAgents; ++i) {
-        HostAgentParams p;
-        p.index = i;
         tenant::TenantSpec s;
         s.workload = "host_agent";
         s.cls = AgentClass::host;
-        s.runner = makeHostAgent(p);
+        s.runner = makeHostAgent(i);
         specs.push_back(std::move(s));
     }
     for (std::uint32_t i = 0; i < cfg.ioStreams; ++i) {
-        IoStreamParams p;
-        p.index = i;
         tenant::TenantSpec s;
         s.workload = "io_stream";
         s.cls = AgentClass::io;
-        s.runner = makeIoStream(p);
+        s.runner = makeIoStream(i);
         specs.push_back(std::move(s));
     }
     return specs;

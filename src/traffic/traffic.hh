@@ -25,53 +25,6 @@
 namespace affalloc::traffic
 {
 
-/** One host-core background agent (AgentClass::host). */
-struct HostAgentParams
-{
-    /** Agent index; picks the issuing core (index % tiles). */
-    std::uint32_t index = 0;
-    /** Working-set bytes the agent cycles over (quick: quartered). */
-    std::uint64_t footprintBytes = 4ull << 20;
-    /** Memory instructions issued per epoch. */
-    std::uint32_t opsPerEpoch = 2048;
-    /** Fraction of ops that are writes. */
-    double writeFraction = 0.3;
-    /** Fraction of ops that are sequential/strided (prefetchable). */
-    double strideFraction = 0.5;
-    /** Epoch cap when no drain signal arrives (quick: divided by 16). */
-    std::uint32_t maxEpochs = 4096;
-};
-
-/** One DMA/NIC-style I/O injector (AgentClass::io). */
-struct IoStreamParams
-{
-    /** Stream index; picks the ingress corner tile (index % 4). */
-    std::uint32_t index = 0;
-    /** DMA window bytes the device cycles over (quick: quartered). */
-    std::uint64_t windowBytes = 8ull << 20;
-    /** Cache lines written per epoch. */
-    std::uint32_t linesPerEpoch = 512;
-    /** Epoch cap when no drain signal arrives (quick: divided by 16). */
-    std::uint32_t maxEpochs = 4096;
-};
-
-/**
- * Runner for a host-core agent: allocates its footprint from the
- * tenant arena, then issues seeded read/write cacheline streams
- * through the classic TLB/L1/L2/L3/DRAM path (no offload) until the
- * scheduler's drain signal (RunConfig::stopRequested) or the epoch
- * cap. The returned RunResult carries AgentClass::host.
- */
-tenant::RunnerFn makeHostAgent(const HostAgentParams &p);
-
-/**
- * Runner for an I/O injector: allocates its DMA window, then writes
- * seeded line bursts from a mesh-corner ingress tile via
- * Machine::ioWrite — landing in L3 or DRAM per the configured
- * LlcIoPolicy. The returned RunResult carries AgentClass::io.
- */
-tenant::RunnerFn makeIoStream(const IoStreamParams &p);
-
 /** Background interference requested on the command line. */
 struct TrafficConfig
 {
@@ -87,6 +40,15 @@ struct TrafficConfig
  * Expand @p cfg into background TenantSpecs (runner + class set) that
  * can be appended to a closed co-run's spec list or admitted as
  * open-system jobs. Workload names are "host_agent" / "io_stream".
+ *
+ * A host agent (AgentClass::host) allocates its footprint from the
+ * tenant arena, then issues seeded read/write cacheline streams
+ * through the classic TLB/L1/L2/L3/DRAM path (no offload) from core
+ * index % tiles. An I/O injector (AgentClass::io) allocates its DMA
+ * window, then writes seeded line bursts from mesh corner index % 4
+ * via Machine::ioWrite, landing in L3 or DRAM per the configured
+ * LlcIoPolicy. Both run until the scheduler's drain signal
+ * (RunConfig::stopRequested) or their epoch cap.
  */
 std::vector<tenant::TenantSpec> makeBackgroundSpecs(const TrafficConfig &cfg);
 

@@ -24,6 +24,8 @@ using nsc::MigratingStream;
 
 constexpr double epochFloor = 120.0;
 constexpr float damping = 0.85f;
+/** Vertices a vertexPass processes per slice per epoch. */
+constexpr std::uint32_t vertexChunk = 2048;
 
 /** A host array paired with its simulated base address. */
 template <typename T>
@@ -354,25 +356,25 @@ struct EdgeStore
 
 /**
  * Run fn(slice, u) over all vertices, sliced across cores/banks in
- * contiguous ranges and chunked into epochs.
+ * contiguous ranges and chunked into epochs of vertexChunk per slice.
  */
 template <typename F>
 void
-vertexPass(RunContext &ctx, std::uint32_t num_v, std::uint32_t chunk,
-           const std::string &phase, F &&fn)
+vertexPass(RunContext &ctx, std::uint32_t num_v, const std::string &phase,
+           F &&fn)
 {
     const std::uint32_t slices = ctx.config.machine.numTiles();
     const std::uint64_t slice = (num_v + slices - 1) / slices;
-    const std::uint64_t epochs = (slice + chunk - 1) / chunk;
+    const std::uint64_t epochs = (slice + vertexChunk - 1) / vertexChunk;
     for (std::uint64_t e = 0; e < epochs; ++e) {
         ctx.machine.beginEpoch();
         for (std::uint32_t c = 0; c < slices; ++c) {
             const std::uint64_t s0 = std::uint64_t(c) * slice;
             const std::uint64_t s1 =
                 std::min<std::uint64_t>(s0 + slice, num_v);
-            const std::uint64_t e0 = s0 + e * chunk;
+            const std::uint64_t e0 = s0 + e * vertexChunk;
             const std::uint64_t e1 =
-                std::min<std::uint64_t>(e0 + chunk, s1);
+                std::min<std::uint64_t>(e0 + vertexChunk, s1);
             for (std::uint64_t u = e0; u < e1; ++u)
                 fn(c, static_cast<VertexId>(u));
         }
@@ -588,7 +590,7 @@ runPageRankPush(RunContext &ctx, const GraphParams &p)
         ctx.exec.affineKernel({rank.ref()}, {contrib.ref()}, n, 2.0,
                               "contrib");
         // Pass 2 (scatter): atomic adds into next[v].
-        vertexPass(ctx, n, p.vertexChunk, "scatter",
+        vertexPass(ctx, n, "scatter",
                    [&](std::uint32_t c, VertexId u) {
                        ctx.exec.streamStep(ss[c].vprop, contrib.at(u), 4,
                                            AccessType::read);
@@ -650,7 +652,7 @@ runPageRankPull(RunContext &ctx, const GraphParams &p)
         ctx.exec.affineKernel({rank.ref()}, {contrib.ref()}, n, 2.0,
                               "contrib");
         // Gather: rank[v] = base + d * sum(contrib[in-neighbours]).
-        vertexPass(ctx, n, p.vertexChunk, "gather",
+        vertexPass(ctx, n, "gather",
                    [&](std::uint32_t c, VertexId v) {
                        float sum = 0.0f;
                        es.forEach(ctx.exec, ss[c], v,
@@ -814,7 +816,7 @@ runBfs(RunContext &ctx, const GraphParams &p, BfsStrategy strategy)
             ctx.exec.affineKernel({}, {fbits.ref()}, n / 8 + 1, 0.5,
                                   "front-bits");
             // Bottom-up: every unvisited vertex scans its in-edges.
-            vertexPass(ctx, n, p.vertexChunk, phase,
+            vertexPass(ctx, n, phase,
                        [&](std::uint32_t c, VertexId v) {
                            ctx.exec.streamStep(ss[c].vprop,
                                                parent.at(v), 4,

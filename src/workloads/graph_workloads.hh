@@ -49,8 +49,6 @@ struct GraphParams
     std::uint32_t nodeBytes = 64;
     /** BFS/SSSP source vertex. */
     graph::VertexId source = 0;
-    /** Vertices processed per slice per epoch. */
-    std::uint32_t vertexChunk = 2048;
     /** Edge placement scheme. */
     EdgeLayout layout = EdgeLayout::autoByMode;
     /** Chunk size for EdgeLayout::chunkRemap (64 B .. 4 kB). */

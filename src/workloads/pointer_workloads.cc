@@ -122,7 +122,7 @@ runLinkList(RunContext &ctx, const LinkListParams &p)
         ctx.offloaded()
             ? std::max<double>(1.0, double(p.numLists) / slices)
             : ctx.config.machine.robEntries > 0
-                  ? ctx.machine.timing().coreMaxMlp
+                  ? nsc::coreMaxMlp
                   : 1.0;
 
     bool valid = true;
@@ -191,7 +191,7 @@ runChurnList(RunContext &ctx, const ChurnListParams &p)
         ctx.offloaded()
             ? std::max<double>(1.0, double(p.numLists) / slices)
             : ctx.config.machine.robEntries > 0
-                  ? ctx.machine.timing().coreMaxMlp
+                  ? nsc::coreMaxMlp
                   : 1.0;
     const std::uint32_t drop = std::min<std::uint32_t>(
         p.nodesPerList,
@@ -288,8 +288,7 @@ runHashJoin(RunContext &ctx, const HashJoinParams &p)
         }
     }
 
-    const double conc =
-        ctx.offloaded() ? 64.0 : ctx.machine.timing().coreMaxMlp;
+    const double conc = ctx.offloaded() ? 64.0 : nsc::coreMaxMlp;
     std::uint64_t hits = 0;
     const std::uint64_t chunk = 16384;
     for (std::uint64_t base = 0; base < p.probeRows; base += chunk) {
@@ -361,8 +360,7 @@ runBinTree(RunContext &ctx, const BinTreeParams &p)
         }
     }
 
-    const double conc =
-        ctx.offloaded() ? 64.0 : ctx.machine.timing().coreMaxMlp;
+    const double conc = ctx.offloaded() ? 64.0 : nsc::coreMaxMlp;
     bool valid = true;
     const std::uint64_t chunk = 16384;
     for (std::uint64_t base = 0; base < p.numLookups; base += chunk) {

@@ -484,3 +484,87 @@ TEST(AllocStats, WasteIsBounded)
     EXPECT_LE(f.allocator->allocStats().alignmentWasteBytes,
               10ull * 64 * 64);
 }
+
+// ------------------------------------------------- pool exhaustion ladder
+
+TEST(AllocFallback, PoolExhaustionLadderCountsEveryStep)
+{
+    // Every pool holds 64 kB: 16 stripes of pool 0 (64 B x 64 banks),
+    // 8 of pool 1, 4 of pool 2, 2 of pool 3, one of pool 4, none of
+    // pools 5 and 6.
+    sim::MachineConfig cfg;
+    cfg.poolCapacityBytes = 64 << 10;
+    os::SimOS os(cfg);
+    nsc::Machine m(cfg, os);
+    AllocatorOptions opts;
+    opts.policy = BankPolicy::minHop;
+    alloc::AffinityAllocator a(m, opts);
+    const auto poolOf = [&](const void *p) {
+        const Addr sim = m.addressSpace().simAddrOf(p);
+        return sim < mem::poolVirtBase
+                   ? -1
+                   : static_cast<int>((sim - mem::poolVirtBase) /
+                                      mem::terabyte);
+    };
+    std::vector<void *> live;
+
+    // Affine: 64 kB partitioned over 64 banks wants 1 kB chunks
+    // (pool 4). The first fills pool 4; the second degrades to the
+    // finer pool 3 and fills it.
+    AffineArray part;
+    part.elem_size = 1;
+    part.num_elem = 64 << 10;
+    part.partition = true;
+    void *a1 = a.mallocAff(part);
+    void *a2 = a.mallocAff(part);
+    ASSERT_EQ(a.arrayInfo(a1)->poolIdx, 4);
+    ASSERT_EQ(a.arrayInfo(a2)->poolIdx, 3);
+    EXPECT_EQ(a.arrayInfo(a2)->intrlv, 512u);
+    EXPECT_EQ(poolOf(a2), 3);
+    EXPECT_EQ(m.stats().allocFallbacks, 1u);
+    live.insert(live.end(), {a1, a2});
+
+    // Irregular: 64 B objects pinned (Min-Hop) to the anchor's bank
+    // take its 16 pool-0 slots, then 8 in pool 1 and 4 in pool 2
+    // (coarser pools keep the bank). Pools 3 and 4 are full of the
+    // affine arrays, so the rest go to the heap.
+    void *anchor = a.mallocAff(64, 0, nullptr);
+    const BankId bank = m.bankOfHost(anchor);
+    live.push_back(anchor);
+    std::vector<int> pools = {poolOf(anchor)};
+    for (int i = 1; i < 30; ++i) {
+        const void *aff[1] = {anchor};
+        void *p = a.mallocAff(64, 1, aff);
+        if (poolOf(p) >= 0) {
+            EXPECT_EQ(m.bankOfHost(p), bank) << i;
+        }
+        pools.push_back(poolOf(p));
+        live.push_back(p);
+    }
+    std::vector<int> want(16, 0);
+    want.insert(want.end(), 8, 1);
+    want.insert(want.end(), 4, 2);
+    want.insert(want.end(), 2, -1);
+    EXPECT_EQ(pools, want);
+    EXPECT_EQ(m.stats().allocFallbacks, 1u + 12 + 2);
+    EXPECT_EQ(a.allocStats().irregularAllocs, 28u);
+
+    // Affine again: pool 4 down to pool 0 are all full, so the array
+    // goes to the heap.
+    void *a3 = a.mallocAff(part);
+    EXPECT_EQ(a.arrayInfo(a3)->poolIdx, -1);
+    EXPECT_EQ(poolOf(a3), -1);
+    live.push_back(a3);
+    EXPECT_EQ(m.stats().allocFallbacks, 16u);
+    EXPECT_EQ(a.allocStats().fallbacks, 16u);
+    EXPECT_EQ(a.allocStats().affineAllocs, 2u);
+
+    for (void *p : live)
+        a.freeAff(p);
+    EXPECT_EQ(a.allocStats().frees, live.size());
+    EXPECT_NO_THROW(m.audit());
+    // Freed pool-0 slots serve 64 B objects again without a fallback.
+    void *again = a.mallocAff(64, 0, nullptr);
+    EXPECT_EQ(poolOf(again), 0);
+    EXPECT_EQ(a.allocStats().fallbacks, 16u);
+}

@@ -127,6 +127,28 @@ TEST(ChaosSignature, FirstLineOnlyAndCapped)
     EXPECT_LE(chaos::normalizeSignature(longMsg).size(), 240u);
 }
 
+TEST(ChaosSignature, SourceLineCollapsesBankIdSurvives)
+{
+    // The same fatal raised from two lines of the same file (an edit
+    // moved it) is the same failure; the bank it names is not.
+    const std::string at157 = chaos::normalizeSignature(
+        "fatal: [fault] src/sim/fault.cc:157: fault event kills bank 99 "
+        "but the 8x8 mesh has banks 0..63");
+    const std::string at203 = chaos::normalizeSignature(
+        "fatal: [fault] src/sim/fault.cc:203: fault event kills bank 99 "
+        "but the 8x8 mesh has banks 0..63");
+    EXPECT_EQ(at157, at203);
+    EXPECT_EQ(at157, "fatal: [fault] src/sim/fault.cc:#: fault event kills "
+                     "bank 99 but the 8x8 mesh has banks 0..63");
+    EXPECT_NE(at157, chaos::normalizeSignature(
+                         "fatal: [fault] src/sim/fault.cc:157: fault event "
+                         "kills bank 98 but the 8x8 mesh has banks 0..63"));
+    // A header's line collapses too; the pool id stays.
+    EXPECT_EQ(chaos::normalizeSignature(
+                  "panic: [alloc] src/alloc/affinity_alloc.hh:12: pool 3"),
+              "panic: [alloc] src/alloc/affinity_alloc.hh:#: pool 3");
+}
+
 TEST(ChaosSignature, WordsWithDigitsSurvive)
 {
     // "hotspot3d" has a digit but also non-hex letters: kept.
@@ -275,9 +297,16 @@ TEST(ChaosBundle, RoundTripsEveryField)
     v.failed = true;
     v.errorType = "audit";
     v.klass = "audit:alloc/freelist-integrity";
-    v.signature = "alloc/freelist-integrity: pool 3: \"quoted\"\tsig";
+    v.signature = "alloc/freelist-integrity: pool 3: \"quoted\" back\\slash"
+                  "\nnew\ttab\rret \x01\x1f end";
 
     const std::string json = chaos::formatBundle(c, v);
+    // Every control character is escaped (\r as \u000d): no raw one
+    // reaches the file apart from the newlines between keys.
+    for (const char ch : json)
+        EXPECT_TRUE(static_cast<unsigned char>(ch) >= 0x20 || ch == '\n')
+            << int(ch);
+    EXPECT_NE(json.find("\\u000dret"), std::string::npos);
     chaos::Verdict back;
     const chaos::Campaign parsed = chaos::parseBundle(json, &back);
 
@@ -334,6 +363,42 @@ TEST(ChaosBundle, RejectsMalformedInput)
         bad.replace(at, 12, old);
         EXPECT_THROW(chaos::parseBundle(bad), FatalError) << old;
     }
+    // Lax input: the committed bundle with one value swapped.
+    const std::string good =
+        readFile(AFFALLOC_CHAOS_DATA_DIR "/invalid-target.json");
+    ASSERT_NO_THROW(chaos::parseBundle(good, &v)); // v's strings too
+    const auto with = [&](const std::string &from, const std::string &to) {
+        std::string s = good;
+        const std::size_t pos = s.find(from);
+        EXPECT_NE(pos, std::string::npos) << from;
+        if (pos != std::string::npos)
+            s.replace(pos, from.size(), to);
+        return s;
+    };
+    const std::pair<const char *, const char *> cases[] = {
+        // Trailing garbage, a sign, a suffix, an overflow.
+        {"\"requests\": 1,", "\"requests\": 12abc,"},
+        {"\"alloc_seed\": 7,", "\"alloc_seed\": -1,"},
+        {"\"max_cycles\": 1953125,", "\"max_cycles\": 1953125k,"},
+        {"\"slots\": 4,", "\"slots\": 4294967296,"},
+        {"\"rate\": 2,", "\"rate\": 2x,"},
+        {"\"burstiness\": 0,", "\"burstiness\": nan,"},
+        // Modes are 0..2 and flags 0/1.
+        {"\"mode\": 2,", "\"mode\": 3,"},
+        {"\"quick\": 1,", "\"quick\": 2,"},
+        // Mix weight, retries, backoff and give-up are numbers.
+        {"vecadd:1:3:", "vecadd:abc:3:"},
+        {"vecadd:1:3:", "vecadd:1:x:"},
+        {":50000:", ":5e4:"},
+        {":8000000\"", ":-8000000\""},
+        {":8000000\"", ":8000000:9\""},
+        // Escapes the writer never produces.
+        {"src/sim/fault.cc", "src/sim\\qfault.cc"},
+        {"src/sim/fault.cc", "src/sim\\u00zzfault.cc"},
+    };
+    for (const auto &[from, to] : cases)
+        EXPECT_THROW(chaos::parseBundle(with(from, to), &v), FatalError)
+            << to;
 }
 
 TEST(ChaosBundle, ReplayReproducesTheShrunkFailure)
@@ -387,8 +452,8 @@ TEST(ChaosFuzz, FailingCampaignIsFoundShrunkBundledAndReplayed)
 
     // Bundled and replayed. The bundle is the committed one CI replays
     // (tests/data/chaos/invalid-target.json), byte for byte. Its
-    // signature names the source line of the fatal in
-    // src/sim/fault.cc: when that line moves, commit the new text.
+    // signature names src/sim/fault.cc but not the line of the fatal,
+    // so edits of that file leave it alone.
     ASSERT_FALSE(r.bundlePath.empty());
     const chaos::ReplayResult replay =
         chaos::replayBundleFile(r.bundlePath);

@@ -4,7 +4,6 @@
 
 using namespace affalloc;
 using sim::EnergyModel;
-using sim::EnergyParams;
 using sim::MachineConfig;
 using sim::Stats;
 
@@ -32,7 +31,7 @@ TEST(Energy, StaticScalesWithCycles)
     EnergyModel model(cfg);
     Stats s;
     s.cycles = 2'000'000'000; // one second at 2 GHz
-    EXPECT_NEAR(model.staticJoules(s), model.params().staticWatts, 1e-9);
+    EXPECT_NEAR(model.staticJoules(s), 24.0, 1e-9); // 24 W static power
 }
 
 TEST(Energy, SeOpsCheaperThanCoreOps)
@@ -49,12 +48,10 @@ TEST(Energy, SeOpsCheaperThanCoreOps)
 TEST(Energy, NocEnergyCountsFlitHops)
 {
     MachineConfig cfg;
-    EnergyParams p;
-    p.nocFlitHopPj = 100.0;
-    EnergyModel model(cfg, p);
+    EnergyModel model(cfg);
     Stats s;
     s.flitHops[int(TrafficClass::data)] = 10;
-    EXPECT_NEAR(model.dynamicJoules(s), 1000e-12, 1e-18);
+    EXPECT_NEAR(model.dynamicJoules(s), 260e-12, 1e-18); // 26 pJ per flit-hop
 }
 
 TEST(Energy, TotalIsDynamicPlusStatic)

@@ -186,40 +186,6 @@ TEST(ErrorPaths, LinkedCsrRejectsUnrecordedVertexArray)
 
 // ------------------------------------------------------ validators
 
-TEST(ErrorPaths, TimingParamsRejectNonPositiveCosts)
-{
-    nsc::TimingParams tp;
-    EXPECT_NO_THROW(tp.validate());
-    tp.l3ServiceCycles = 0.0;
-    EXPECT_THROW(tp.validate(), FatalError);
-
-    tp = nsc::TimingParams{};
-    tp.coreIssueCycles = -0.5;
-    EXPECT_THROW(tp.validate(), FatalError);
-
-    tp = nsc::TimingParams{};
-    tp.coreFlopsPerCycle = 0.0;
-    EXPECT_THROW(tp.validate(), FatalError);
-
-    tp = nsc::TimingParams{};
-    tp.seFlopsPerCycle = -1.0;
-    EXPECT_THROW(tp.validate(), FatalError);
-
-    tp = nsc::TimingParams{};
-    tp.atomicExtraCycles = -0.1;
-    EXPECT_THROW(tp.validate(), FatalError);
-
-    tp = nsc::TimingParams{};
-    tp.epochOverheadCycles = -1.0;
-    EXPECT_THROW(tp.validate(), FatalError);
-
-    // coreMaxMlp divides irregular-access occupancy; zero would be a
-    // silent division by zero without the guard.
-    tp = nsc::TimingParams{};
-    tp.coreMaxMlp = 0.0;
-    EXPECT_THROW(tp.validate(), FatalError);
-}
-
 TEST(ErrorPaths, MachineConfigRejectsBadRatesAndFaults)
 {
     sim::MachineConfig cfg;

@@ -412,16 +412,6 @@ TEST(FaultSchedule, ValidationRejectsBadTargetsAndLateEvents)
                                kMeshY, 0);
 }
 
-TEST(FaultSchedule, PlanCtorValidatesScheduleTargets)
-{
-    sim::FaultConfig fc;
-    sim::TimedFault ev;
-    ev.kind = sim::FaultKind::killBank;
-    ev.target = kBanks; // out of range
-    fc.schedule.push_back(ev);
-    EXPECT_THROW(sim::FaultPlan(fc, kMeshX, kMeshY), FatalError);
-}
-
 TEST(FaultPlan, SetRedirectRetargetsDeadBanksOnly)
 {
     sim::FaultPlan plan(sim::FaultConfig{}, kMeshX, kMeshY);

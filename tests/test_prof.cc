@@ -128,8 +128,6 @@ using ProfPhases = ProfFixture;
 
 TEST_F(ProfPhases, ScopesNestIntoATree)
 {
-    if (!prof::compiledIn)
-        GTEST_SKIP() << "built with -DAFFALLOC_PROF=OFF";
     prof::setEnabled(true);
     for (int i = 0; i < 3; ++i) {
         PROF_SCOPE("test/outer");
@@ -152,8 +150,6 @@ TEST_F(ProfPhases, ScopesNestIntoATree)
 
 TEST_F(ProfPhases, AddTimedRecordsARetroactivePhase)
 {
-    if (!prof::compiledIn)
-        GTEST_SKIP() << "built with -DAFFALLOC_PROF=OFF";
     prof::setEnabled(true);
     prof::addTimed("test/record", 1000);
     prof::addTimed("test/record", 500);
@@ -167,8 +163,6 @@ TEST_F(ProfPhases, AddTimedRecordsARetroactivePhase)
 
 TEST_F(ProfPhases, RealRunSatisfiesTreeInvariants)
 {
-    if (!prof::compiledIn)
-        GTEST_SKIP() << "built with -DAFFALLOC_PROF=OFF";
     prof::setEnabled(true);
     runDigest();
     const prof::Snapshot snap = prof::harvest();
@@ -231,8 +225,6 @@ TEST_F(ProfPhases, ServeJobWorkNestsUnderTheGrantingQuantum)
     // Serve jobs run as fibers on the scheduler's thread: the work a
     // job does inside a quantum is charged beneath that quantum, never
     // in a root of its own, and the tree partitions the wall clock.
-    if (!prof::compiledIn)
-        GTEST_SKIP() << "built with -DAFFALLOC_PROF=OFF";
     prof::setEnabled(true);
     serve::ServeOptions o;
     o.quick = true;
@@ -265,8 +257,6 @@ TEST_F(ProfPhases, SampledEstimatesFitInsideAnExactlyTimedParent)
     // for 64 entries, far past the parent that really contains them.
     // The exactly timed parent keeps its measured time; the sampled
     // child is shrunk to fit inside it.
-    if (!prof::compiledIn)
-        GTEST_SKIP() << "built with -DAFFALLOC_PROF=OFF";
     prof::setEnabled(true);
     const std::uint64_t t0 = prof::nowNs();
     {
@@ -295,8 +285,6 @@ TEST_F(ProfPhases, SampledEstimatesFitInsideAnExactlyTimedParent)
 
 TEST_F(ProfPhases, DisabledScopesRecordNothing)
 {
-    if (!prof::compiledIn)
-        GTEST_SKIP() << "built with -DAFFALLOC_PROF=OFF";
     {
         PROF_SCOPE("test/should-not-exist");
     }
@@ -312,8 +300,6 @@ using ProfTelemetry = ProfFixture;
 
 TEST_F(ProfTelemetry, CountersAddAndMax)
 {
-    if (!prof::compiledIn)
-        GTEST_SKIP() << "built with -DAFFALLOC_PROF=OFF";
     prof::setEnabled(true);
     prof::counterAdd("test/adds", 2);
     prof::counterAdd("test/adds", 3);
@@ -333,8 +319,6 @@ TEST_F(ProfTelemetry, CountersAddAndMax)
 
 TEST_F(ProfTelemetry, ArenaFootprintsKeepTheHighWatermark)
 {
-    if (!prof::compiledIn)
-        GTEST_SKIP() << "built with -DAFFALLOC_PROF=OFF";
     prof::setEnabled(true);
     prof::noteArenaFootprint(2, 1000);
     prof::noteArenaFootprint(2, 500);
@@ -353,8 +337,6 @@ using ProfExport = ProfFixture;
 
 TEST_F(ProfExport, WriteJsonEmitsTheVersionedSchema)
 {
-    if (!prof::compiledIn)
-        GTEST_SKIP() << "built with -DAFFALLOC_PROF=OFF";
     prof::setEnabled(true);
     {
         PROF_SCOPE("test/export");
@@ -384,8 +366,6 @@ TEST_F(ProfExport, WriteJsonEmitsTheVersionedSchema)
 
 TEST_F(ProfExport, ResetForTestClearsEverything)
 {
-    if (!prof::compiledIn)
-        GTEST_SKIP() << "built with -DAFFALLOC_PROF=OFF";
     prof::setEnabled(true);
     {
         PROF_SCOPE("test/reset");

@@ -98,7 +98,7 @@ TEST(SimCheckAuditor, EpochHookHonoursEnableAndPeriod)
     auditor.setPeriodEpochs(4);
     for (std::uint64_t e = 1; e <= 8; ++e)
         auditor.onEpochEnd(e);
-    EXPECT_EQ(fires, simcheck::compiledIn ? 2 : 0);
+    EXPECT_EQ(fires, 2);
 }
 
 // ------------------------------------------------ corruption injection

@@ -162,7 +162,6 @@ TEST(Corun, SingleTenantMatchesLegacyRun)
     rc.mode = opts.mode;
     rc.allocOpts = opts.allocOpts;
     rc.allocOpts.seed = Rng::substreamSeed(opts.seed, 0);
-    rc.heapPolicy = opts.heapPolicy;
     rc.machine = opts.machine;
     workloads::RunContext ctx(rc);
     const workloads::RunResult legacy =

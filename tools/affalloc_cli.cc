@@ -30,7 +30,6 @@
 #include "harness/sweep.hh"
 #include "obs/heatmap.hh"
 #include "sim/parse.hh"
-#include "sim/prof.hh"
 #include "sim/simcheck.hh"
 #include "harness/trace.hh"
 #include "tenant/qos.hh"
@@ -215,8 +214,7 @@ usage()
                  "  --progress[=SECONDS] (any command: stderr heartbeat "
                  "for long runs;\n"
                  "       default 5s; env AFFALLOC_PROGRESS)\n"
-                 "  --version (print git revision, build type, and "
-                 "compiled feature flags)\n");
+                 "  --version (print git revision and build type)\n");
     std::exit(2);
 }
 
@@ -233,9 +231,6 @@ printVersion()
 {
     std::printf("affalloc_cli %s (%s)\n", AFFALLOC_GIT_REVISION,
                 AFFALLOC_BUILD_TYPE);
-    std::printf("features: simcheck=%s prof=%s\n",
-                simcheck::compiledIn ? "on" : "off",
-                prof::compiledIn ? "on" : "off");
     std::exit(0);
 }
 
@@ -476,11 +471,6 @@ cmdRun(const Options &o)
     rc.obs.metrics = !o.heatmap.empty() || !o.obsCsv.empty();
     rc.obs.tracePath = o.traceOut;
     rc.obs.explainPath = o.explainOut;
-    if (!simcheck::compiledIn && o.simcheck) {
-        std::fprintf(stderr,
-                     "warning: --simcheck requested but this binary "
-                     "was built with AFFALLOC_SIMCHECK=OFF\n");
-    }
 
     RunResult result;
     if (o.workload == "vecadd") {
