@@ -3,10 +3,10 @@
  * google-benchmark micro-benchmarks of the library's hot paths: the
  * allocator's affine and irregular fast paths per policy, the
  * irregular free path, host -> simulated address translation, bank
- * lookups through the IOT, mesh routing, NoC accounting, and the
- * cache tag model. These measure the *simulator's own* performance
- * (host time), complementing the figure benches which report
- * simulated time.
+ * lookups through the IOT, mesh routing, NoC accounting, the cache
+ * tag model, and power-law input generation. These measure the
+ * *simulator's own* performance (host time), complementing the figure
+ * benches which report simulated time.
  */
 
 #include <benchmark/benchmark.h>
@@ -16,6 +16,7 @@
 #include <vector>
 
 #include "ds/pointer_structs.hh"
+#include "graph/generators.hh"
 #include "nsc/stream_executor.hh"
 #include "os/sim_os.hh"
 #include "sim/rng.hh"
@@ -253,6 +254,28 @@ BM_CacheAccess(benchmark::State &state)
     state.SetItemsProcessed(state.iterations());
 }
 BENCHMARK(BM_CacheAccess)->Arg(1)->Arg(64);
+
+/**
+ * Power-law input generation end to end (cutpoint sampling, then the
+ * CSR build's sort), at the graph benchmark's exponent and average
+ * degree on 16 k vertices. `edge_time` is the host time per generated
+ * edge.
+ */
+void
+BM_PowerLaw(benchmark::State &state)
+{
+    constexpr graph::VertexId vertices = 16 * 1024;
+    constexpr std::uint64_t edges = 256 * 1024;
+    std::uint64_t seed = 1;
+    for (auto _ : state) {
+        benchmark::DoNotOptimize(
+            graph::powerLaw(vertices, edges, 2.2, seed++, true).numEdges());
+    }
+    state.counters["edge_time"] = benchmark::Counter(
+        double(edges), benchmark::Counter::kIsIterationInvariantRate |
+                           benchmark::Counter::kInvert);
+}
+BENCHMARK(BM_PowerLaw)->Unit(benchmark::kMillisecond);
 
 void
 BM_StreamStep(benchmark::State &state)

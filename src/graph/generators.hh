@@ -9,7 +9,9 @@
 #ifndef AFFALLOC_GRAPH_GENERATORS_HH
 #define AFFALLOC_GRAPH_GENERATORS_HH
 
+#include <cstddef>
 #include <cstdint>
+#include <vector>
 
 #include "graph/csr.hh"
 
@@ -39,8 +41,37 @@ struct KroneckerParams
 Csr kronecker(const KroneckerParams &params);
 
 /**
+ * Inversion sampler over a cumulative weight array, sped up by a
+ * cutpoint (guide) table (Chen & Asau, 1974). For u in [0, 1) it
+ * returns the i with cum[i] <= u * total < cum[i + 1], total being
+ * cum.back(): exactly the index a binary search of the whole array
+ * finds (DESIGN.md §12), but it searches only the few entries of cum
+ * that bucket floor(u * M) spans, M = 2^ceil(log2(cum.size() - 1)).
+ */
+class CutpointSampler
+{
+  public:
+    /**
+     * @p cum must be nondecreasing with cum[0] = 0, at least two
+     * entries and a finite cum.back() > 0.
+     */
+    explicit CutpointSampler(std::vector<double> cum);
+
+    /** The weighted index that @p u in [0, 1) selects. */
+    std::size_t operator()(double u) const;
+
+  private:
+    std::vector<double> cum_;
+    /** guide_[j] = upper_bound(cum_, (j / M) * total); M + 1 entries. */
+    std::vector<std::size_t> guide_;
+    double total_;
+    double buckets_;
+};
+
+/**
  * Chung-Lu style power-law graph with a target vertex count and
  * average degree (Fig. 19's degree sweep fixes |E| and varies D).
+ * Needs at least one vertex and a finite exponent above 1.
  */
 Csr powerLaw(VertexId num_vertices, std::uint64_t num_edges,
              double exponent, std::uint64_t seed, bool weighted = false,

@@ -729,8 +729,10 @@ runBfs(RunContext &ctx, const GraphParams &p, BfsStrategy strategy)
     const Csr &g = *p.graph;
     // GAP convention: undirected (symmetric) graphs share one edge
     // structure for both directions, halving the resident footprint.
-    const bool symmetric = g.transpose().edges == g.edges;
-    const Csr gt = symmetric ? Csr{} : g.transpose();
+    Csr gt = g.transpose();
+    const bool symmetric = gt.edges == g.edges;
+    if (symmetric)
+        gt = Csr{};
     const std::uint32_t n = g.numVertices;
     const std::uint32_t slices = ctx.config.machine.numTiles();
 

@@ -87,12 +87,13 @@ def bench_jobs(bench, j4_extra, variants=(), **kw):
 TABLE = [
     Row("whole-binaries", "ok", cmds=gtest_binaries(skip=THREADED)),
     Row("threaded-binaries", "ok", cmds=gtest_binaries(only=THREADED)),
-    # The allocation-path and cache-tag micro-benchmarks run briefly so
-    # they cannot rot.
+    # The allocation-path, cache-tag and power-law generator
+    # micro-benchmarks run briefly so they cannot rot.
     Row("micro-alloc", "ok", cmds=[
         "build/bench/micro_benchmarks --benchmark_min_time=0.01 "
         "--benchmark_filter="
-        "BM_(HostTranslate|IrregularFree|IrregularAlloc|CacheAccess)"]),
+        "BM_(HostTranslate|IrregularFree|IrregularAlloc|CacheAccess|"
+        "PowerLaw)"]),
     Row("fault-smoke", "ok", cmds=[
         f"{CLI} run vecadd --mode aff {FAULTS}",
         f"{CLI} run bfs --mode near --scale 10 {FAULTS}"]),
